@@ -120,12 +120,12 @@ def main():
         load_lsm(4),
         load_mat_find(200, seed=5),
     ]
-    print(f"{'load':<44} {'python':>10} {'cython':>10} {'speedup':>8}")
+    print(f"{'load':<44} {_corepy.BACKEND:>10} {_corec.BACKEND:>10} {'speedup':>8}")
     for name, run in loads:
         t_py, r_py = bench(run, _corepy, args.repeat)
-        t_cy, r_cy = bench(run, _corec, args.repeat)
-        assert r_py == r_cy, f"backend mismatch on {name}: {r_py} != {r_cy}"
-        print(f"{name:<44} {t_py * 1e3:>8.1f}ms {t_cy * 1e3:>8.1f}ms {t_py / t_cy:>7.1f}x")
+        t_c, r_c = bench(run, _corec, args.repeat)
+        assert r_py == r_c, f"backend mismatch on {name}: {r_py} != {r_c}"
+        print(f"{name:<44} {t_py * 1e3:>8.1f}ms {t_c * 1e3:>8.1f}ms {t_py / t_c:>7.1f}x")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,6 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("patex._corec", ["src/patex/_corec.pyx"], optional=True)],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # The package still works without the compiled kernels; the pure-Python
-    # twin in patex._corepy is selected at import time.
-    extensions = []
-
-setup(ext_modules=extensions)
+# The compiled kernels are hand-written C built with the system compiler.
+# optional=True: where the extension cannot build, the install still
+# succeeds and patex falls back to the pure-Python twin in patex._corepy.
+setup(ext_modules=[Extension("patex._corec", ["src/patex/_corec.c"], optional=True)])

@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
-The compiled extension (patex._corec) is preferred when it built; the
-pure-Python twin (patex._corepy) is the drop-in fallback.  Set PATEX_PURE=1
-to force the pure backend — the parity tests and the benchmark use this.
+The compiled extension (patex._corec, hand-written C built by setup.py) is
+preferred when it built; the pure-Python twin (patex._corepy) is the
+drop-in fallback.  Set PATEX_PURE=1 to force the pure backend.  The parity
+tests import both modules directly, and the benchmark never sets
+PATEX_PURE: it measures whichever backend the build produced.
 """
 
 import os
@@ -17,5 +19,5 @@ else:
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: "cython" or "python"."""
+    """Name of the active kernel backend: "c" or "python"."""
     return kernels.BACKEND

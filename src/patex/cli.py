@@ -16,6 +16,7 @@ built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -227,7 +228,10 @@ def _cmd_fit(args, cfg):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: main() reuses it,
+    since parse_args leaves no state behind in the parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     common.add_argument("--tol", type=float, default=None, help="numeric tolerance")

@@ -6,7 +6,12 @@ from itertools import combinations
 
 import pytest
 
+from patex import backend_name
 from patex.matrices import BitMatrix
+
+
+def pytest_report_header(config):
+    return f"patex kernel backend: {backend_name()}"
 
 
 def canon(letters):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from patex.cli import main
+from patex.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +169,44 @@ def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path, seq_file
         "--config", str(cfg), "--budget", "100000",
     )
     assert code == 0 and json.loads(out)["value"] == 5
+
+
+def _comparable(out):
+    """CLI output with the run-dependent elapsed_ms field dropped."""
+    try:
+        payload = json.loads(out)
+    except ValueError:
+        return out
+    if isinstance(payload, dict):
+        payload.pop("elapsed_ms", None)
+    return payload
+
+
+def test_reused_parser_matches_fresh_runs(capsys, tmp_path, seq_file):
+    # main() reuses one cached parser; a flag or config given to one call
+    # must not leak into the next.
+    cfg = tmp_path / "patex.cfg"
+    cfg.write_text("budget=4\n")
+    calls = [
+        ["lss", "--seq", seq_file, "--pattern", "abab", "--config", str(cfg), "--budget", "2"],
+        ["lss", "--seq", seq_file, "--pattern", "abab"],
+        ["ss-oracle", "--m", "5", "--pattern", "abab", "--config", str(cfg)],
+        ["construct", "block", "--k", "3"],
+        ["ss-oracle", "--m", "5", "--pattern", "abab"],
+        ["lss", "--seq", seq_file, "--pattern", "abab", "--budget", "100000"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        code, out, err = run_cli(capsys, *argv)
+        fresh.append((code, _comparable(out), err))
+    assert [code for code, _, _ in fresh] == [3, 0, 3, 0, 0, 0]
+    reused = []
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        reused.append((code, _comparable(out), err))
+    assert build_parser() is build_parser()
+    assert reused == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ import random
 import pytest
 
 from patex import _corepy
+from patex.constructions import block_sequence
 
 _corec = pytest.importorskip("patex._corec")
 
 BUDGET = 10**9
+INT_MAX = 2**31 - 1
+INT_MIN = -(2**31)
 
 
 def random_sequence_case(rng):
@@ -49,7 +52,7 @@ def random_matrix_case(rng):
 
 def test_backend_names_differ():
     assert _corepy.BACKEND == "python"
-    assert _corec.BACKEND == "cython"
+    assert _corec.BACKEND == "c"
 
 
 def test_seq_find_parity():
@@ -69,7 +72,7 @@ def test_lss_parity_including_nodes():
 def test_lss_parity_under_budget_stop():
     u = [i % 3 for i in range(12)]
     v = [0, 1, 0, 1]
-    for budget in (1, 5, 20, 100):
+    for budget in (-(2**70), -1, 0, 1, 5, 20, 100):
         assert _corepy.lss_search(u, v, budget) == _corec.lss_search(u, v, budget)
 
 
@@ -89,5 +92,98 @@ def test_lsm_parity_including_nodes():
 
 def test_lsm_parity_under_budget_stop():
     case = (3, 3, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2], 2, 2, [0, 0, 1, 1], [0, 1, 0, 1])
-    for budget in (1, 7, 50):
+    for budget in (-(2**70), -1, 0, 1, 7, 50):
         assert _corepy.lsm_search(*case, budget) == _corec.lsm_search(*case, budget)
+
+
+def test_tuple_inputs():
+    rng = random.Random(104)
+    for _ in range(100):
+        u, v = random_sequence_case(rng)
+        u, v = tuple(u), tuple(v)
+        assert _corepy.seq_find(u, v) == _corec.seq_find(u, v)
+        assert _corepy.lss_search(u, v, BUDGET) == _corec.lss_search(u, v, BUDGET)
+        case = tuple(tuple(x) if isinstance(x, list) else x for x in random_matrix_case(rng))
+        assert _corepy.mat_find(*case) == _corec.mat_find(*case)
+        assert _corepy.lsm_search(*case, BUDGET) == _corec.lsm_search(*case, BUDGET)
+
+
+def test_empty_host():
+    for kern in (_corepy, _corec):
+        assert kern.seq_find([], []) == []
+        assert kern.seq_find([], [0]) is None
+        assert kern.lss_search([], [0, 1], BUDGET) == (0, 0, (), 1)
+        assert kern.mat_find(3, 3, [], [], 1, 1, [0], [0]) is None
+        assert kern.lsm_search(3, 3, [], [], 2, 2, [0, 0, 1, 1], [0, 1, 0, 1], BUDGET) == (0, 0, (), 1)
+
+
+def test_letters_and_indices_near_int_max():
+    u = [INT_MAX, INT_MIN, INT_MAX, INT_MAX - 1, INT_MIN, INT_MAX, 0]
+    for v in ([0, 0], [0, 1, 0], [0, 1, 0, 1], [0, 1, 2]):
+        assert _corepy.seq_find(u, v) == _corec.seq_find(u, v)
+        assert _corepy.lss_search(u, v, BUDGET) == _corec.lss_search(u, v, BUDGET)
+    # Columns reach INT_MAX - 1; mat_find indexes host rows, so only the
+    # column count is near INT_MAX there.
+    rows = [0, 0, 0, 1, 1]
+    cols = [0, INT_MAX - 2, INT_MAX - 1, 5, INT_MAX - 1]
+    for prows, pcols in (([0, 1], [0, 1]), ([0, 1], [1, 0]), ([0, 0, 1], [0, 1, 1])):
+        case = (2, INT_MAX, rows, cols, 2, 2, prows, pcols)
+        assert _corepy.mat_find(*case) == _corec.mat_find(*case)
+    rows = [0, 0, INT_MAX - 2, INT_MAX - 1, INT_MAX - 1]
+    cols = [3, INT_MAX - 1, 0, 7, INT_MAX - 1]
+    case = (INT_MAX, INT_MAX, rows, cols, 2, 2, [0, 1], [0, 1])
+    assert _corepy.lsm_search(*case, BUDGET) == _corec.lsm_search(*case, BUDGET)
+
+
+@pytest.mark.parametrize("bad", [INT_MAX + 1, INT_MIN - 1, 2**64])
+def test_values_outside_c_int_raise_overflow(bad):
+    with pytest.raises(OverflowError):
+        _corec.seq_find([0, bad], [0])
+    with pytest.raises(OverflowError):
+        _corec.lss_search([bad], [0], BUDGET)
+    with pytest.raises(OverflowError):
+        _corec.mat_find(2, 2, [0], [bad], 1, 1, [0], [0])
+    with pytest.raises(OverflowError):
+        _corec.lsm_search(bad, 2, [0], [0], 1, 1, [0], [0], BUDGET)
+
+
+def test_indices_outside_their_arrays_raise_value_error():
+    with pytest.raises(ValueError):
+        _corec.seq_find([0, 1], [0, 2])
+    with pytest.raises(ValueError):
+        _corec.lss_search([0], [-1], BUDGET)
+    with pytest.raises(ValueError):
+        _corec.lss_search([0], [], BUDGET)
+    with pytest.raises(ValueError):
+        _corec.mat_find(2, 2, [2], [0], 1, 1, [0], [0])
+    with pytest.raises(ValueError):
+        _corec.mat_find(2, 2, [0, 1], [0], 1, 1, [0], [0])
+    with pytest.raises(ValueError):
+        _corec.lsm_search(2, 2, [0], [0], 1, 1, [1], [0], BUDGET)
+    with pytest.raises(ValueError):
+        _corec.lsm_search(2, 2, [0], [0], 1, 1, [], [], BUDGET)
+
+
+@pytest.mark.parametrize("budget", [2**31 - 1, 2**31, 2**32 + 7, 2**63 - 1, 2**63, 2**64, 10**30])
+def test_huge_budgets_act_unlimited(budget):
+    u = [i % 3 for i in range(12)]
+    assert _corepy.lss_search(u, [0, 1, 0, 1], budget) == _corec.lss_search(u, [0, 1, 0, 1], budget)
+    case = (3, 3, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2], 2, 2, [0, 0, 1, 1], [0, 1, 0, 1])
+    assert _corepy.lsm_search(*case, budget) == _corec.lsm_search(*case, budget)
+
+
+def test_block_sequence_k5_node_count():
+    u = list(block_sequence(5).letters)
+    res = _corec.lss_search(u, [0, 1, 0, 1], BUDGET)
+    assert res == _corepy.lss_search(u, [0, 1, 0, 1], BUDGET)
+    assert res[3] == 690_084
+
+
+def test_host_deeper_than_the_c_stack():
+    # Every one of a 1 x n host is kept, one keep branch per search level:
+    # a compiled search that recursed on the C stack would overflow it.
+    n = 300_000
+    case = (1, n, [0] * n, list(range(n)), 2, 1, [0, 1], [0, 0])
+    res = _corec.lsm_search(*case, BUDGET)
+    assert res[:2] == (0, n) and res[3] == 2 * n + 1
+    assert res == _corepy.lsm_search(*case, BUDGET)
