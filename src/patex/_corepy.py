@@ -25,7 +25,8 @@ BUDGET_EXCEEDED = 1
 
 
 def _ensure_stack(depth):
-    # the keep/drop searches recurse one level per element
+    # every search recurses one level per element or pattern letter; the
+    # keep/drop searches run a creates-check inside each of their levels
     need = depth + 100
     if sys.getrecursionlimit() < need:
         sys.setrecursionlimit(need)
@@ -47,6 +48,7 @@ def seq_find(u, v):
         return []
     if t > n:
         return None
+    _ensure_stack(t)
     r = max(v) + 1
     vmap = [-1] * r
     pos = [0] * t
@@ -130,7 +132,7 @@ def lss_search(u, v, budget):
     """
     n = len(u)
     t = len(v)
-    _ensure_stack(n)
+    _ensure_stack(n + t)
     r = max(v) + 1 if t else 1
     vmap = [-1] * r
     kept_pos = [0] * n
@@ -217,7 +219,7 @@ def _complete_map(amap, limit):
         else:
             cur += 1
             amap[a] = cur
-    assert amap[-1] < limit
+    assert cur < limit
     return amap
 
 
@@ -233,6 +235,7 @@ def mat_find(ar, ac, arows, acols, pr, pc, prows, pcols):
     np_ = len(prows)
     if np_ > na or pr > ar or pc > ac:
         return None
+    _ensure_stack(np_)
     row_ptr = [0] * (ar + 1)
     for rr in arows:
         row_ptr[rr + 1] += 1
@@ -355,7 +358,7 @@ def lsm_search(ar, ac, arows, acols, pr, pc, prows, pcols, budget):
     Returns (status, value, kept indices into A's ones list, nodes).
     """
     na = len(arows)
-    _ensure_stack(na)
+    _ensure_stack(na + len(prows))
     kept_r = [0] * na
     kept_c = [0] * na
     sel = [0] * na

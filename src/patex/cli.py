@@ -6,8 +6,14 @@ JSON object {"value", "witness", "nodes", "elapsed_ms"}; construct and
 realize emit the canonical file formats; sweep honours --format
 csv|json|svg.
 
+Every leaf subcommand sets its own handler, which parses its inputs and
+makes one call to its job's library entry point.
+
 Exit codes: 0 success, 2 precondition violation (including bad usage),
-3 budget exceeded, 4 degenerate numeric input.
+3 budget exceeded, 4 degenerate numeric input.  main() turns every
+PatexError into its class's exit code; input that cannot be read, cast
+or written raises PreconditionError where it is handled, so no input
+ends in a traceback.
 
 Settings resolve in order: command-line flag, --config key=value file,
 built-in default.
@@ -22,13 +28,30 @@ import sys
 from pathlib import Path
 
 from patex import constructions, envelopes, extractors, solvers, sweeps
-from patex.errors import BudgetExceededError, DegenerateInputError, PreconditionError
+from patex.errors import PatexError, PreconditionError
 from patex.matrices import BitMatrix, format_matrix, parse_matrix
-from patex.sequences import alternation, format_sequence, parse_sequence
+from patex.sequences import format_sequence, parse_sequence
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc
+
+
+def _cast(cast, text: str, what: str):
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise PreconditionError(f"bad {what}: {text!r}") from exc
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -51,8 +74,20 @@ def _setting(args, cfg, name, default, cast):
     if flag is not None:
         return flag
     if name in cfg:
-        return cast(cfg[name])
+        return _cast(cast, cfg[name], f"config value for {name}")
     return default
+
+
+def _budget(args, cfg) -> int:
+    return _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
+
+
+def _load_records(text: str) -> list[sweeps.SweepRecord]:
+    """The records of a `sweep --format json` file."""
+    try:
+        return [sweeps.SweepRecord(**rec) for rec in json.loads(text)]
+    except (ValueError, TypeError) as exc:
+        raise PreconditionError(f"bad sweep records: {exc}") from exc
 
 
 def _solver_json(value, witness, nodes, elapsed_s) -> str:
@@ -65,6 +100,10 @@ def _solver_json(value, witness, nodes, elapsed_s) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _result_json(res: solvers.SolveResult) -> str:
+    return _solver_json(res.value, res.witness, res.nodes, res.elapsed)
+
+
 def _matrix_lines(a: BitMatrix) -> list[str]:
     return format_matrix(a).split("\n") if a.rows else []
 
@@ -74,75 +113,73 @@ def _matrix_lines(a: BitMatrix) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_lss(args, cfg):
-    budget = _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
-    res = solvers.lss_exact(parse_sequence(_read(args.seq)), parse_sequence(args.pattern), budget=budget)
-    return _solver_json(res.value, list(res.witness), res.nodes, res.elapsed)
+    u, v = parse_sequence(_read(args.seq)), parse_sequence(args.pattern)
+    return _result_json(solvers.lss_exact(u, v, budget=_budget(args, cfg)))
 
 
 def _cmd_lsm(args, cfg):
-    budget = _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
-    res = solvers.lsm_exact(parse_matrix(_read(args.matrix)), parse_matrix(_read(args.pattern)), budget=budget)
-    return _solver_json(res.value, [list(cell) for cell in res.witness], res.nodes, res.elapsed)
+    a, p = parse_matrix(_read(args.matrix)), parse_matrix(_read(args.pattern))
+    return _result_json(solvers.lsm_exact(a, p, budget=_budget(args, cfg)))
 
 
 def _cmd_ex(args, cfg):
-    budget = _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
-    res = solvers.lsm_exact(
-        constructions.all_ones(args.n, args.n), parse_matrix(_read(args.pattern)), budget=budget
-    )
-    return _solver_json(res.value, [list(cell) for cell in res.witness], res.nodes, res.elapsed)
-
-
-def _cmd_ss_oracle(args, cfg):
-    budget = _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
-    limit = _setting(args, cfg, "ss_limit", solvers.SS_ORACLE_LIMIT, int)
-    res = solvers.ss_oracle(args.m, parse_sequence(args.pattern), limit=limit, budget=budget)
-    return _solver_json(res.value, list(res.argmin.letters), res.nodes, res.elapsed)
-
-
-def _cmd_sm_oracle(args, cfg):
-    budget = _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
-    limit = _setting(args, cfg, "sm_limit", solvers.SM_ORACLE_LIMIT, int)
-    res = solvers.sm_oracle(args.m, parse_matrix(_read(args.pattern)), limit=limit, budget=budget)
-    return _solver_json(res.value, _matrix_lines(res.argmin), res.nodes, res.elapsed)
+    p = parse_matrix(_read(args.pattern))
+    return _result_json(solvers.ex_exact(args.n, p, budget=_budget(args, cfg)))
 
 
 def _cmd_lsp_upper(args, cfg):
-    budget = _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
-    if args.k < 1:
-        raise PreconditionError("degree bound k must be >= 1")
-    res = solvers.lss_exact(parse_sequence(_read(args.seq)), alternation(args.k + 2), budget=budget)
-    return _solver_json(res.value, list(res.witness), res.nodes, res.elapsed)
+    u = parse_sequence(_read(args.seq))
+    return _result_json(solvers.lsp_upper(u, args.k, budget=_budget(args, cfg)))
 
 
-def _cmd_construct(args, cfg):
-    kind = args.what
-    if kind == "block":
-        return format_sequence(constructions.block_sequence(args.k)) + "\n"
-    if kind == "all-ones":
-        return format_matrix(constructions.all_ones(args.r, args.c)) + "\n"
-    if kind == "lemma3":
-        return format_matrix(constructions.upper_construction_allones(args.m, args.r)) + "\n"
-    if kind == "pattern-from-seq":
-        return format_matrix(constructions.pattern_from_sequence(parse_sequence(args.seq))) + "\n"
-    if kind == "diagonal":
-        return format_matrix(constructions.diagonal(args.k)) + "\n"
-    if kind == "row":
-        return format_matrix(constructions.row(args.k)) + "\n"
-    if kind == "column":
-        return format_matrix(constructions.column(args.k)) + "\n"
-    if kind == "l-shape":
-        return format_matrix(constructions.l_shape()) + "\n"
-    if kind == "insert-column":
-        base = parse_matrix(_read(args.pattern))
-        return format_matrix(constructions.insert_column(base, args.row, args.col)) + "\n"
-    if kind == "corner-join":
-        base = parse_matrix(_read(args.pattern))
-        return format_matrix(constructions.corner_join(base, args.copies)) + "\n"
-    if kind == "four-patterns":
-        mats = constructions.four_forcing_patterns()
-        return "\n\n".join(format_matrix(m) for m in mats) + "\n"
-    raise PreconditionError(f"unknown construct kind: {kind}")
+def _cmd_ss_oracle(args, cfg):
+    limit = _setting(args, cfg, "ss_limit", solvers.SS_ORACLE_LIMIT, int)
+    res = solvers.ss_oracle(args.m, parse_sequence(args.pattern), limit=limit, budget=_budget(args, cfg))
+    return _solver_json(res.value, res.argmin.letters, res.nodes, res.elapsed)
+
+
+def _cmd_sm_oracle(args, cfg):
+    limit = _setting(args, cfg, "sm_limit", solvers.SM_ORACLE_LIMIT, int)
+    p = parse_matrix(_read(args.pattern))
+    res = solvers.sm_oracle(args.m, p, limit=limit, budget=_budget(args, cfg))
+    return _solver_json(res.value, _matrix_lines(res.argmin), res.nodes, res.elapsed)
+
+
+# construct kind -> (its flags and their types, its canonical text)
+_CONSTRUCT = {
+    "block": ({"k": int}, lambda a: format_sequence(constructions.block_sequence(a.k))),
+    "all-ones": ({"r": int, "c": int}, lambda a: format_matrix(constructions.all_ones(a.r, a.c))),
+    "lemma3": (
+        {"m": int, "r": int},
+        lambda a: format_matrix(constructions.upper_construction_allones(a.m, a.r)),
+    ),
+    "pattern-from-seq": (
+        {"seq": str},
+        lambda a: format_matrix(constructions.pattern_from_sequence(parse_sequence(a.seq))),
+    ),
+    "diagonal": ({"k": int}, lambda a: format_matrix(constructions.diagonal(a.k))),
+    "row": ({"k": int}, lambda a: format_matrix(constructions.row(a.k))),
+    "column": ({"k": int}, lambda a: format_matrix(constructions.column(a.k))),
+    "l-shape": ({}, lambda a: format_matrix(constructions.l_shape())),
+    "insert-column": (
+        {"pattern": str, "row": int, "col": int},
+        lambda a: format_matrix(
+            constructions.insert_column(parse_matrix(_read(a.pattern)), a.row, a.col)
+        ),
+    ),
+    "corner-join": (
+        {"pattern": str, "copies": int},
+        lambda a: format_matrix(constructions.corner_join(parse_matrix(_read(a.pattern)), a.copies)),
+    ),
+    "four-patterns": (
+        {},
+        lambda a: "\n\n".join(format_matrix(m) for m in constructions.four_forcing_patterns()),
+    ),
+}
+
+
+def _cmd_construct(text, args, cfg):
+    return text(args) + "\n"
 
 
 def _extract_json(report: extractors.ExtractReport) -> str:
@@ -163,22 +200,22 @@ def _extract_json(report: extractors.ExtractReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_extract(args, cfg):
-    what = args.what
-    if what == "prob":
-        seed = _setting(args, cfg, "seed", 0, int)
-        rep = extractors.probabilistic_extract(
-            parse_matrix(_read(args.matrix)), parse_matrix(_read(args.pattern)), seed=seed
-        )
-        return _extract_json(rep)
-    if what == "es":
-        return _extract_json(extractors.erdos_szekeres_extract(parse_matrix(_read(args.matrix))))
-    if what == "dichotomy":
-        return _extract_json(extractors.dichotomy_extract(parse_sequence(_read(args.seq))))
-    if what == "thin":
-        thinned = extractors.alternate_thinning(parse_matrix(_read(args.matrix)))
-        return format_matrix(thinned) + "\n"
-    raise PreconditionError(f"unknown extract kind: {what}")
+def _cmd_extract_prob(args, cfg):
+    a, p = parse_matrix(_read(args.matrix)), parse_matrix(_read(args.pattern))
+    seed = _setting(args, cfg, "seed", 0, int)
+    return _extract_json(extractors.probabilistic_extract(a, p, seed=seed))
+
+
+def _cmd_extract_es(args, cfg):
+    return _extract_json(extractors.erdos_szekeres_extract(parse_matrix(_read(args.matrix))))
+
+
+def _cmd_extract_dichotomy(args, cfg):
+    return _extract_json(extractors.dichotomy_extract(parse_sequence(_read(args.seq))))
+
+
+def _cmd_extract_thin(args, cfg):
+    return format_matrix(extractors.alternate_thinning(parse_matrix(_read(args.matrix)))) + "\n"
 
 
 def _cmd_envelope(args, cfg):
@@ -196,31 +233,24 @@ def _cmd_realize(args, cfg):
     return envelopes.format_polynomials(polys) + "\n"
 
 
-def _cmd_sweep(args, cfg):
-    fmt = _setting(args, cfg, "format", "csv", str)
-    timing = bool(args.timing)
-    if args.what == "ss-block":
-        budget = _setting(args, cfg, "budget", solvers.DEFAULT_NODE_BUDGET, int)
-        limit = _setting(args, cfg, "block_limit", sweeps.SS_BLOCK_LIMIT, int)
-        records = sweeps.sweep_ss_block(
-            args.k_min, args.k_max, limit=limit, budget=budget, timing=timing
-        )
-        return sweeps.report(records, fmt)
-    if args.what == "sm-allones":
-        seed = _setting(args, cfg, "seed", 0, int)
-        trials = _setting(args, cfg, "trials", sweeps.DEFAULT_TRIALS, int)
-        m_list = [int(tok) for tok in args.m_list.split(",") if tok]
-        records, _ = sweeps.sweep_sm_allones(
-            args.r, m_list, trials=trials, seed=seed, timing=timing
-        )
-        return sweeps.report(records, fmt)
-    raise PreconditionError(f"unknown sweep kind: {args.what}")
+def _cmd_sweep_ss_block(args, cfg):
+    limit = _setting(args, cfg, "block_limit", sweeps.SS_BLOCK_LIMIT, int)
+    records = sweeps.sweep_ss_block(
+        args.k_min, args.k_max, limit=limit, budget=_budget(args, cfg), timing=args.timing
+    )
+    return sweeps.report(records, _setting(args, cfg, "format", "csv", str))
+
+
+def _cmd_sweep_sm_allones(args, cfg):
+    seed = _setting(args, cfg, "seed", 0, int)
+    trials = _setting(args, cfg, "trials", sweeps.DEFAULT_TRIALS, int)
+    m_list = [_cast(int, tok, "--m-list entry") for tok in args.m_list.split(",") if tok]
+    records, _ = sweeps.sweep_sm_allones(args.r, m_list, trials=trials, seed=seed, timing=args.timing)
+    return sweeps.report(records, _setting(args, cfg, "format", "csv", str))
 
 
 def _cmd_fit(args, cfg):
-    raw = json.loads(_read(args.records))
-    records = [sweeps.SweepRecord(**rec) for rec in raw]
-    fit = sweeps.fit_exponent(records)
+    fit = sweeps.fit_exponent(_load_records(_read(args.records)))
     return json.dumps(fit.__dict__, indent=2) + "\n"
 
 
@@ -279,44 +309,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="polynomial degree bound")
     p.set_defaults(func=_cmd_lsp_upper)
 
-    p = sub.add_parser("construct", parents=[common], help="emit a canonical instance/pattern")
+    p = sub.add_parser("construct", help="emit a canonical instance/pattern")
     ps = p.add_subparsers(dest="what", required=True)
-    q = ps.add_parser("block", parents=[common])
-    q.add_argument("--k", type=int, required=True)
-    q = ps.add_parser("all-ones", parents=[common])
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--c", type=int, required=True)
-    q = ps.add_parser("lemma3", parents=[common])
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q = ps.add_parser("pattern-from-seq", parents=[common])
-    q.add_argument("--seq", required=True)
-    for name in ("diagonal", "row", "column"):
-        q = ps.add_parser(name, parents=[common])
-        q.add_argument("--k", type=int, required=True)
-    ps.add_parser("l-shape", parents=[common])
-    q = ps.add_parser("insert-column", parents=[common])
-    q.add_argument("--pattern", required=True)
-    q.add_argument("--row", type=int, required=True)
-    q.add_argument("--col", type=int, required=True)
-    q = ps.add_parser("corner-join", parents=[common])
-    q.add_argument("--pattern", required=True)
-    q.add_argument("--copies", type=int, required=True)
-    ps.add_parser("four-patterns", parents=[common])
-    p.set_defaults(func=_cmd_construct)
+    for kind, (flags, text) in _CONSTRUCT.items():
+        q = ps.add_parser(kind, parents=[common])
+        for flag, cast in flags.items():
+            q.add_argument(f"--{flag}", type=cast, required=True)
+        q.set_defaults(func=functools.partial(_cmd_construct, text))
 
-    p = sub.add_parser("extract", parents=[common], help="run a lower-bound extractor")
+    p = sub.add_parser("extract", help="run a lower-bound extractor")
     ps = p.add_subparsers(dest="what", required=True)
     q = ps.add_parser("prob", parents=[common])
     q.add_argument("--matrix", required=True)
     q.add_argument("--pattern", required=True)
+    q.set_defaults(func=_cmd_extract_prob)
     q = ps.add_parser("es", parents=[common])
     q.add_argument("--matrix", required=True)
+    q.set_defaults(func=_cmd_extract_es)
     q = ps.add_parser("dichotomy", parents=[common])
     q.add_argument("--seq", required=True)
+    q.set_defaults(func=_cmd_extract_dichotomy)
     q = ps.add_parser("thin", parents=[common])
     q.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_extract)
+    q.set_defaults(func=_cmd_extract_thin)
 
     p = sub.add_parser("envelope", parents=[common], help="lower envelope of a polynomial set")
     p.add_argument("--polys", required=True, help="polynomial-set file")
@@ -326,18 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("sweep", parents=[common], help="run an experiment sweep")
+    p = sub.add_parser("sweep", help="run an experiment sweep")
     ps = p.add_subparsers(dest="what", required=True)
     q = ps.add_parser("ss-block", parents=[common])
     q.add_argument("--k-min", dest="k_min", type=int, default=2)
     q.add_argument("--k-max", dest="k_max", type=int, default=5)
     q.add_argument("--timing", action="store_true")
+    q.set_defaults(func=_cmd_sweep_ss_block)
     q = ps.add_parser("sm-allones", parents=[common])
     q.add_argument("--r", type=int, default=2)
     q.add_argument("--m-list", dest="m_list", default="64,256,1024")
     q.add_argument("--trials", type=int, default=None)
     q.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_sweep)
+    q.set_defaults(func=_cmd_sweep_sm_allones)
 
     p = sub.add_parser("fit", parents=[common], help="fit an exponent to sweep json records")
     p.add_argument("--records", required=True, help="json file produced by sweep --format json")
@@ -347,27 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        out = args.func(args, cfg)
-    except BudgetExceededError as exc:
+        out = args.func(args, _load_config(args.config))
+        if args.out:
+            _write(args.out, out)
+        else:
+            sys.stdout.write(out)
+    except PatexError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(args, "out", None):
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+        return exc.exit_code
     return 0
 
 

@@ -5,11 +5,9 @@ of a sequence pattern."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from patex.errors import PreconditionError
 from patex.matrices import BitMatrix
-from patex.sequences import Sequence, as_sequence, normalize
+from patex.sequences import Sequence, normalize
 
 
 def block_sequence(k: int) -> Sequence:
@@ -135,37 +133,3 @@ def four_forcing_patterns() -> list[BitMatrix]:
         BitMatrix.from_dense([[0, 1], [1, 1]]),
         BitMatrix.from_dense([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
     ]
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """Declarative description of a builder call, used by the CLI.
-
-    kind is one of: all-ones, diagonal, row, column, l-shape, block,
-    lemma-instance, from-sequence, four-patterns.
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def build(self):
-        p = self.params
-        if self.kind == "all-ones":
-            return all_ones(p["r"], p["c"])
-        if self.kind == "diagonal":
-            return diagonal(p["k"])
-        if self.kind == "row":
-            return row(p["k"])
-        if self.kind == "column":
-            return column(p["k"])
-        if self.kind == "l-shape":
-            return l_shape()
-        if self.kind == "block":
-            return block_sequence(p["k"])
-        if self.kind == "lemma-instance":
-            return upper_construction_allones(p["m"], p["r"])
-        if self.kind == "from-sequence":
-            return pattern_from_sequence(as_sequence(p["seq"]))
-        if self.kind == "four-patterns":
-            return four_forcing_patterns()
-        raise PreconditionError(f"unknown pattern kind: {self.kind}")

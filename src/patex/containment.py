@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from patex._backend import kernels
-from patex.matrices import BitMatrix
+from patex.matrices import BitMatrix, kernel_form
 from patex.sequences import Sequence, as_sequence, normalize
 
 
@@ -62,16 +62,7 @@ def mat_contains(a: BitMatrix, p: BitMatrix) -> MatOccurrence | None:
     """Occurrence of pattern p in a, or None when a avoids p."""
     if p.one_count == 0:
         return MatOccurrence((), ())
-    res = kernels.mat_find(
-        a.rows,
-        a.cols,
-        [r for r, _ in a.ones],
-        [c for _, c in a.ones],
-        p.rows,
-        p.cols,
-        [r for r, _ in p.ones],
-        [c for _, c in p.ones],
-    )
+    res = kernels.mat_find(*kernel_form(a), *kernel_form(p))
     if res is None:
         return None
     return MatOccurrence(res[0], res[1])

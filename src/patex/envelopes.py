@@ -32,13 +32,15 @@ _MAX_BISECT = 200
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real univariate polynomial; coefficients constant term first,
+    """Real univariate polynomial; finite coefficients, constant term first,
     trailing zero coefficients trimmed (the zero polynomial is (0.0,))."""
 
     coeffs: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
         cs = [float(c) for c in self.coeffs]
+        if not all(map(math.isfinite, cs)):
+            raise DegenerateInputError(f"non-finite polynomial coefficient in {tuple(cs)}")
         while len(cs) > 1 and cs[-1] == 0.0:
             cs.pop()
         if not cs:
@@ -53,21 +55,13 @@ class Polynomial:
         return self.coeffs == (0.0,)
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
         return Polynomial(tuple(x - y for x, y in zip(a, b)))
-
-    def derivative(self) -> "Polynomial":
-        if len(self.coeffs) == 1:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
 
 def as_polynomial(p) -> Polynomial:
@@ -205,7 +199,7 @@ def _argmin_at_infinity(polys: list[Polynomial], side: int) -> int:
 
 
 def _argmin_at(polys: list[Polynomial], x: float, tol: float) -> int:
-    vals = [(p(x), i) for i, p in enumerate(polys)]
+    vals = [(_horner(p.coeffs, x), i) for i, p in enumerate(polys)]
     vals.sort()
     if len(vals) > 1 and vals[1][0] - vals[0][0] < tol:
         raise ToleranceError(
@@ -220,8 +214,8 @@ def lower_envelope(polys: Iterable, tol: float = DEFAULT_TOL) -> EnvelopeSequenc
     ps = [as_polynomial(p) for p in polys]
     if not ps:
         raise PreconditionError("need at least one polynomial")
-    if tol <= 0:
-        raise PreconditionError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise PreconditionError("tolerance must be positive and finite")
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             if ps[i].coeffs == ps[j].coeffs:

@@ -1,13 +1,15 @@
 """Exception hierarchy shared by every module.
 
-The CLI maps these onto process exit codes (see patex.cli): precondition
-violations exit 2, exhausted budgets exit 3, degenerate numeric input
-exits 4.
+Each class carries the process exit code the CLI returns for it (see
+patex.cli): precondition violations exit 2, exhausted budgets exit 3,
+degenerate numeric input exits 4.
 """
 
 
 class PatexError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class PreconditionError(PatexError, ValueError):
@@ -21,6 +23,8 @@ class BudgetExceededError(PatexError, RuntimeError):
     the moment the budget tripped.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, nodes: int | None = None):
         super().__init__(message)
         self.nodes = nodes
@@ -28,6 +32,8 @@ class BudgetExceededError(PatexError, RuntimeError):
 
 class DegenerateInputError(PatexError, ValueError):
     """Numeric input the envelope routines refuse to disambiguate."""
+
+    exit_code = 4
 
 
 class ToleranceError(DegenerateInputError):

@@ -60,9 +60,11 @@ class BitMatrix:
             grid[r][c] = 1
         return grid
 
-    def row_cols(self, r: int) -> list[int]:
-        """Column indices of the ones in row r, ascending."""
-        return [c for rr, c in self.ones if rr == r]
+
+def kernel_form(a: BitMatrix) -> tuple[int, int, list[int], list[int]]:
+    """a as the search kernels take a matrix: rows, cols, then the row and
+    the column list of its ones in row-major order."""
+    return a.rows, a.cols, [r for r, _ in a.ones], [c for _, c in a.ones]
 
 
 def parse_matrix(text: str) -> BitMatrix:

@@ -24,7 +24,7 @@ from typing import Iterator
 from patex._backend import kernels
 from patex.constructions import all_ones
 from patex.errors import BudgetExceededError, PreconditionError
-from patex.matrices import BitMatrix
+from patex.matrices import BitMatrix, kernel_form
 from patex.sequences import Sequence, alternation, as_sequence, normalize
 
 DEFAULT_NODE_BUDGET = 500_000_000
@@ -73,6 +73,14 @@ def lss_exact(u, v, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     return SolveResult(value, pos, nodes, time.perf_counter() - start)
 
 
+def _lsm_raw(host, pattern, budget):
+    """One lsm kernel search; host and pattern are in kernel_form."""
+    status, value, sel, nodes = kernels.lsm_search(*host, *pattern, budget)
+    if status:
+        raise BudgetExceededError(f"lsm node budget {budget} exceeded", nodes=nodes)
+    return value, sel, nodes
+
+
 def lsm_exact(a: BitMatrix, p: BitMatrix, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Most ones in a P-avoiding matrix obtained from a by clearing ones.
 
@@ -81,34 +89,21 @@ def lsm_exact(a: BitMatrix, p: BitMatrix, budget: int = DEFAULT_NODE_BUDGET) -> 
     if p.one_count == 0:
         raise PreconditionError("forbidden matrix pattern must have at least one one")
     start = time.perf_counter()
-    status, value, sel, nodes = kernels.lsm_search(
-        a.rows,
-        a.cols,
-        [r for r, _ in a.ones],
-        [c for _, c in a.ones],
-        p.rows,
-        p.cols,
-        [r for r, _ in p.ones],
-        [c for _, c in p.ones],
-        budget,
-    )
-    if status:
-        raise BudgetExceededError(f"lsm node budget {budget} exceeded", nodes=nodes)
+    value, sel, nodes = _lsm_raw(kernel_form(a), kernel_form(p), budget)
     witness = tuple(a.ones[i] for i in sel)
     return SolveResult(value, witness, nodes, time.perf_counter() - start)
 
 
-def ex_exact(n: int, p: BitMatrix, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Maximum ones in an n x n matrix avoiding p (exact, branch and bound).
+def ex_exact(n: int, p: BitMatrix, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+    """Maximum ones in an n x n matrix avoiding p (exact, branch and bound),
+    solved as lsm_exact on the n x n all-ones host.
 
     Raises BudgetExceededError when the instance is too large for the node
     budget — never returns an approximation.
     """
     if n < 1:
         raise PreconditionError("ex_exact needs n >= 1")
-    if p.one_count == 0:
-        raise PreconditionError("forbidden matrix pattern must have at least one one")
-    return lsm_exact(all_ones(n, n), p, budget=budget).value
+    return lsm_exact(all_ones(n, n), p, budget=budget)
 
 
 def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
@@ -207,26 +202,13 @@ def sm_oracle(
         raise BudgetExceededError(f"sm_oracle limit {limit} exceeded (m={m})")
     if p.one_count == 0:
         raise PreconditionError("forbidden matrix pattern must have at least one one")
-    prows = [r for r, _ in p.ones]
-    pcols = [c for _, c in p.ones]
+    pattern = kernel_form(p)
     start = time.perf_counter()
     best = None
     best_a = None
     total_nodes = 0
     for a in matrices_with_ones(m):
-        status, value, _, nodes = kernels.lsm_search(
-            a.rows,
-            a.cols,
-            [r for r, _ in a.ones],
-            [c for _, c in a.ones],
-            p.rows,
-            p.cols,
-            prows,
-            pcols,
-            budget,
-        )
-        if status:
-            raise BudgetExceededError(f"lsm node budget {budget} exceeded", nodes=nodes)
+        value, _, nodes = _lsm_raw(kernel_form(a), pattern, budget)
         total_nodes += nodes
         if best is None or value < best:
             best = value
@@ -236,10 +218,11 @@ def sm_oracle(
     return OracleResult(best, best_a, total_nodes, time.perf_counter() - start)
 
 
-def lsp_upper(u, k: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
+def lsp_upper(u, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Certified upper bound on the longest subsequence of u realizable by
     degree-<=k polynomials: the longest subsequence avoiding the alternation
-    of length k + 2 (two degree-k polynomials cross at most k times)."""
+    of length k + 2 (two degree-k polynomials cross at most k times),
+    solved by lss_exact."""
     if k < 1:
         raise PreconditionError("degree bound k must be >= 1")
-    return lss_exact(u, alternation(k + 2), budget=budget).value
+    return lss_exact(u, alternation(k + 2), budget=budget)

@@ -42,6 +42,10 @@ class SweepRecord:
     elapsed_ms: int
 
     def __post_init__(self):
+        refs = tuple(ref for ref in (self.lower_ref, self.upper_ref) if ref is not None)
+        fields = (self.m, self.k, self.value, self.seed, self.elapsed_ms) + refs
+        if not all(isinstance(x, (int, float)) for x in fields):
+            raise PreconditionError(f"record fields must be numbers: {self}")
         if self.lower_ref is not None and self.value < self.lower_ref:
             raise PreconditionError(
                 f"record violates lower reference: {self.value} < {self.lower_ref}"
@@ -156,8 +160,8 @@ def fit_exponent(records: list[SweepRecord]) -> FitResult:
     """Ordinary least squares of log(value) against log(m)."""
     if len(records) < 3:
         raise PreconditionError("fit needs at least 3 records")
-    if any(rec.value <= 0 or rec.m <= 0 for rec in records):
-        raise PreconditionError("fit needs positive sizes and values")
+    if not all(0 < rec.value < math.inf and 0 < rec.m < math.inf for rec in records):
+        raise PreconditionError("fit needs positive finite sizes and values")
     xs = [math.log(rec.m) for rec in records]
     ys = [math.log(rec.value) for rec in records]
     n = len(xs)

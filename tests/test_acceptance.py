@@ -162,7 +162,7 @@ def test_criterion_06_ex_sm_bridge():
     for n in (2, 3):
         for p in (j2, l_shape(), third):
             via_lsm = lsm_exact(all_ones(n, n), p).value
-            via_ex = ex_exact(n, p)
+            via_ex = ex_exact(n, p).value
             if via_lsm != via_ex:
                 failures.append((n, p.dense(), via_lsm, via_ex))
     # independent enumeration of all 2^9 matrices for ex(3, J2)
@@ -171,8 +171,8 @@ def test_criterion_06_ex_sm_bridge():
         cells = tuple((i // 3, i % 3) for i in range(9) if mask >> i & 1)
         if len(cells) > best and not brute_mat_contains(BitMatrix(3, 3, cells), j2):
             best = len(cells)
-    if best != 6 or ex_exact(3, j2) != 6:
-        failures.append(("enumeration", best, ex_exact(3, j2)))
+    if best != 6 or ex_exact(3, j2).value != 6:
+        failures.append(("enumeration", best, ex_exact(3, j2).value))
     _report(6, "full-host solve equals extremal count", failures)
 
 
@@ -228,7 +228,7 @@ def test_criterion_09_realization_roundtrip():
             res = realizable_extract(u, k)
             if len(res.witness) < isqrt_ceil(m):
                 failures.append(("short", i, k, len(res.witness)))
-            if len(res.witness) > lsp_upper(u, k):
+            if len(res.witness) > lsp_upper(u, k).value:
                 failures.append(("exceeds-upper", i, k))
             if tuple(u.letters[p] for p in res.positions) != res.witness.letters:
                 failures.append(("positions", i, k))

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patex.cli import build_parser, main
 
@@ -83,6 +89,10 @@ def test_construct_to_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "construct", "all-ones", "--r", "2", "--c", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == "11\n11\n"
+    # the shared flags belong to the leaf subcommand, never to the group
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--out", str(target), "block", "--k", "2"])
+    assert exc.value.code == 2
 
 
 def test_extract_commands(capsys, tmp_path, host_file, j2_file):
@@ -213,9 +223,11 @@ def test_reused_parser_matches_fresh_runs(capsys, tmp_path, seq_file):
 # exit codes
 # ---------------------------------------------------------------------------
 
-def test_exit_code_precondition(capsys, seq_file):
+def test_exit_code_precondition(capsys, seq_file, j2_file):
     code, _, err = run_cli(capsys, "lss", "--seq", seq_file, "--pattern", "")
     assert code == 2 and "error" in err
+    code, _, err = run_cli(capsys, "ex", "--n", "0", "--pattern", j2_file)
+    assert code == 2 and "ex_exact needs n >= 1" in err
 
 
 def test_exit_code_budget(capsys, seq_file):
@@ -225,14 +237,131 @@ def test_exit_code_budget(capsys, seq_file):
 
 def test_exit_code_degenerate(capsys, tmp_path):
     f = tmp_path / "dup.polys"
-    f.write_text("0,1\n0,1\n")
-    code, _, err = run_cli(capsys, "envelope", "--polys", str(f))
-    assert code == 4
+    for text in ("0,1\n0,1\n", "nan,1\n", "0,1\n0,inf\n", "-inf\n"):
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "envelope", "--polys", str(f))
+        assert code == 4 and out == "" and err.startswith("error: ")
 
 
 def test_exit_code_missing_file(capsys):
     code, _, err = run_cli(capsys, "lss", "--seq", "/nonexistent/u.seq", "--pattern", "ab")
     assert code == 2
+
+
+def _file(directory: Path, name: str, data: bytes) -> str:
+    path = directory / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _seq(d):
+    return _file(d, "u.seq", b"a b a b\n")
+
+
+def _records(value) -> bytes:
+    return json.dumps(
+        [{"m": m, "k": 2, "value": value, "lower_ref": None, "upper_ref": None, "seed": 0, "elapsed_ms": 0}
+         for m in (1, 2, 3)]
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda d: ["fit", "--records", _file(d, "r.json", b"not json")], id="fit-non-json"),
+        pytest.param(
+            lambda d: ["fit", "--records", _file(d, "r.json", b'[{"m": 64}]')], id="fit-missing-fields"
+        ),
+        pytest.param(
+            lambda d: ["fit", "--records", _file(d, "r.json", _records("x"))], id="fit-non-numeric-field"
+        ),
+        pytest.param(
+            lambda d: ["fit", "--records", _file(d, "r.json", _records(float("nan")))], id="fit-nan-value"
+        ),
+        pytest.param(
+            lambda d: ["lss", "--seq", _file(d, "u.seq", b"a \xff b\n"), "--pattern", "ab"],
+            id="seq-not-utf8",
+        ),
+        pytest.param(lambda d: ["lss", "--seq", str(d), "--pattern", "ab"], id="seq-directory"),
+        pytest.param(
+            lambda d: ["lss", "--seq", _seq(d), "--pattern", "ab", "--config", str(d)], id="config-directory"
+        ),
+        pytest.param(lambda d: ["construct", "block", "--k", "2", "--out", str(d)], id="out-directory"),
+        pytest.param(
+            lambda d: ["lss", "--seq", _seq(d), "--pattern", "ab", "--config", _file(d, "c.cfg", b"budget=abc\n")],
+            id="config-budget-not-int",
+        ),
+        pytest.param(
+            lambda d: ["sweep", "sm-allones", "--m-list", "64,x", "--trials", "1"], id="m-list-not-int"
+        ),
+    ],
+)
+def test_input_boundary_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+# Each template names a file-reading job.  F and G stand for two files of
+# random bytes, P for a pattern string, N for a small or malformed integer;
+# OUT and DIR (for --out) for a new file and a directory.
+_TEMPLATES = [
+    ["lss", "--seq", "F", "--pattern", "P"],
+    ["lsm", "--matrix", "F", "--pattern", "G"],
+    ["ex", "--n", "N", "--pattern", "F"],
+    ["envelope", "--polys", "F"],
+    ["fit", "--records", "F"],
+    ["extract", "prob", "--matrix", "F", "--pattern", "G"],
+    ["extract", "es", "--matrix", "F"],
+    ["extract", "dichotomy", "--seq", "F"],
+    ["extract", "thin", "--matrix", "F"],
+    ["construct", "insert-column", "--pattern", "F", "--row", "N", "--col", "N"],
+    ["construct", "corner-join", "--pattern", "F", "--copies", "N"],
+]
+_BYTES = st.one_of(
+    st.binary(max_size=24),
+    *(st.text(alphabet=chars, max_size=16).map(str.encode) for chars in ("01\n", "ab \n", "01.,-einf\n")),
+)
+
+
+@st.composite
+def _job(draw):
+    files = {"F": draw(_BYTES), "G": draw(_BYTES)}
+    values = {
+        "P": draw(st.text(alphabet="ab c", max_size=4)),
+        "N": draw(st.sampled_from(["-1", "0", "1", "2", "3", "x"])),
+    }
+    argv = [values.get(tok, tok) for tok in draw(st.sampled_from(_TEMPLATES))]
+    argv += ["--budget", str(draw(st.integers(0, 10**4)))]
+    for flag, values in (
+        ("--config", ["G"]),
+        ("--seed", ["0", "7", "-1"]),
+        ("--tol", ["1e-9", "0", "nan"]),
+        ("--out", ["OUT", "OUT", "DIR"]),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-", "--n", "7"])))
+    return files, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_job())
+def test_random_jobs_keep_the_exit_code_contract(job):
+    files, template = job
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        paths = {name: _file(d, name, data) for name, data in files.items()}
+        paths.update(OUT=str(d / "out"), DIR=tmp)
+        argv = [paths.get(tok, tok) for tok in template]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the usage
+                code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_sweep_byte_identical(capsys, tmp_path):

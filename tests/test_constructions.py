@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from patex.constructions import (
-    PatternSpec,
     all_ones,
     block_sequence,
     column,
@@ -189,16 +188,3 @@ def test_four_patterns():
     assert pats[1].dense() == [[0, 0, 1], [1, 1, 0]]
     assert pats[2].dense() == [[0, 1], [1, 1]]
     assert pats[3].dense() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-
-
-# ---------------------------------------------------------------------------
-# PatternSpec dispatch
-# ---------------------------------------------------------------------------
-
-def test_pattern_spec_builds():
-    assert PatternSpec("all-ones", {"r": 2, "c": 3}).build() == all_ones(2, 3)
-    assert PatternSpec("block", {"k": 2}).build() == block_sequence(2)
-    assert PatternSpec("lemma-instance", {"m": 64, "r": 2}).build() == all_ones(16, 4)
-    assert len(PatternSpec("four-patterns").build()) == 4
-    with pytest.raises(PreconditionError):
-        PatternSpec("nope").build()

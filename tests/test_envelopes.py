@@ -8,6 +8,7 @@ from patex.envelopes import (
     DEFAULT_TOL,
     EnvelopeSequence,
     Polynomial,
+    _derive,
     _sign_change_roots,
     envelope_sequence,
     format_polynomials,
@@ -37,6 +38,12 @@ def test_polynomial_trims_trailing_zeros():
     assert poly().is_zero()
 
 
+@pytest.mark.parametrize("coeffs", [(math.nan, 1.0), (0.0, math.inf), (-math.inf,)])
+def test_polynomial_rejects_non_finite(coeffs):
+    with pytest.raises(DegenerateInputError):
+        Polynomial(coeffs)
+
+
 def test_polynomial_eval_and_sub():
     p = poly(1.0, 0.0, 1.0)  # 1 + x^2
     assert p(2.0) == 5.0
@@ -45,8 +52,8 @@ def test_polynomial_eval_and_sub():
 
 
 def test_derivative():
-    assert poly(1.0, 2.0, 3.0).derivative().coeffs == (2.0, 6.0)
-    assert poly(5.0).derivative().is_zero()
+    assert _derive((1.0, 2.0, 3.0)) == (2.0, 6.0)
+    assert _derive((5.0,)) == (0.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +135,9 @@ def test_equal_polynomials_rejected():
 def test_empty_family_rejected():
     with pytest.raises(PreconditionError):
         lower_envelope([])
-    with pytest.raises(PreconditionError):
-        lower_envelope([poly(1.0)], tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            lower_envelope([poly(1.0)], tol=tol)
 
 
 def test_near_tie_raises_tolerance_error():

@@ -60,6 +60,9 @@ def test_seq_find_parity():
     for _ in range(400):
         u, v = random_sequence_case(rng)
         assert _corepy.seq_find(u, v) == _corec.seq_find(u, v)
+    # one search level per pattern letter, past the default recursion limit
+    u, v = list(range(3000)), list(range(1500))
+    assert _corepy.seq_find(u, v) == _corec.seq_find(u, v) == v
 
 
 def test_lss_parity_including_nodes():
@@ -67,6 +70,9 @@ def test_lss_parity_including_nodes():
     for _ in range(300):
         u, v = random_sequence_case(rng)
         assert _corepy.lss_search(u, v, BUDGET) == _corec.lss_search(u, v, BUDGET)
+    # the creates-check of the last keep level nests 1,499 levels deeper
+    u = v = [0] * 1500
+    assert _corepy.lss_search(u, v, BUDGET) == _corec.lss_search(u, v, BUDGET)
 
 
 def test_lss_parity_under_budget_stop():
@@ -81,6 +87,9 @@ def test_mat_find_parity():
     for _ in range(400):
         case = random_matrix_case(rng)
         assert _corepy.mat_find(*case) == _corec.mat_find(*case)
+    # a 0 x 0 pattern occurs with empty index maps
+    case = (1, 1, [0], [0], 0, 0, [], [])
+    assert _corepy.mat_find(*case) == _corec.mat_find(*case) == ((), ())
 
 
 def test_lsm_parity_including_nodes():
@@ -88,6 +97,11 @@ def test_lsm_parity_including_nodes():
     for _ in range(250):
         case = random_matrix_case(rng)
         assert _corepy.lsm_search(*case, BUDGET) == _corec.lsm_search(*case, BUDGET)
+    # a 1 x 1200 row in a 1 x 1200 host: the creates-check of the last keep
+    # level nests 1,199 levels deeper
+    n = 1200
+    case = (1, n, [0] * n, list(range(n)), 1, n, [0] * n, list(range(n)))
+    assert _corepy.lsm_search(*case, BUDGET) == _corec.lsm_search(*case, BUDGET)
 
 
 def test_lsm_parity_under_budget_stop():

@@ -43,9 +43,3 @@ def test_parse_matrix_rejects_ragged_and_bad_chars():
 def test_format_parse_roundtrip():
     a = BitMatrix(3, 2, ((0, 1), (2, 0)))
     assert parse_matrix(format_matrix(a)) == a
-
-
-def test_row_cols():
-    a = BitMatrix(2, 4, ((0, 3), (0, 1), (1, 2)))
-    assert a.row_cols(0) == [1, 3]
-    assert a.row_cols(1) == [2]
