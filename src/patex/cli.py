@@ -265,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     common.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    common.add_argument("--budget", type=int, default=None, help="search node budget")
+    common.add_argument(
+        "--budget", type=int, default=None,
+        help="search node budget (ss-oracle, sm-oracle: total over all instances)",
+    )
     common.add_argument("--format", default=None, choices=["csv", "json", "svg"])
     common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
     common.add_argument("--config", default=None, help="key=value settings file")

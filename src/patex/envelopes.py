@@ -27,7 +27,9 @@ from patex.extractors import dichotomy_extract
 from patex.sequences import Sequence, as_sequence, is_isomorphic, normalize
 
 DEFAULT_TOL = 1e-9
-_MAX_BISECT = 200
+# Halvings that take any finite bracket down to adjacent floats
+# (log2(2^1025 / 2^-1074) < 2100), so bisection stops on width, not count.
+_MAX_BISECT = 2100
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,10 @@ def _sign_change_roots(coeffs, tol):
     Even-multiplicity touch points are intentionally not reported: they
     cannot move the argmin of an envelope.  The grid of critical points
     (sign-changing roots of the derivative) splits the Cauchy interval into
-    weakly monotone stretches, each holding at most one sign change.
+    weakly monotone stretches, each holding at most one sign change.  When
+    rounding puts the bound on or inside a root (the signs at its ends are
+    not the signs at infinity), the bound is doubled.  A root or grid value
+    that is not finite raises DegenerateInputError.
     """
     cs = list(coeffs)
     while len(cs) > 1 and cs[-1] == 0.0:
@@ -153,11 +158,24 @@ def _sign_change_roots(coeffs, tol):
     if deg < 1:
         return []
     if deg == 1:
-        return [-cs[0] / cs[1] + 0.0]
+        root = -cs[0] / cs[1] + 0.0
+        if not math.isfinite(root):
+            raise DegenerateInputError(f"root of {tuple(cs)} is not finite")
+        return [root]
     bound = _cauchy_bound(tuple(cs))
     crit = _sign_change_roots(_derive(tuple(cs)), tol)
-    grid = [-bound] + [x for x in crit if -bound < x < bound] + [bound]
-    vals = [_horner(cs, x) for x in grid]
+    sign_hi = 1.0 if cs[-1] > 0.0 else -1.0  # the sign toward +inf
+    sign_lo = sign_hi if deg % 2 == 0 else -sign_hi
+    while True:
+        grid = [-bound] + [x for x in crit if -bound < x < bound] + [bound]
+        vals = [_horner(cs, x) for x in grid]
+        if not all(map(math.isfinite, vals)):
+            raise DegenerateInputError(
+                f"{tuple(cs)} overflows on its root-isolation grid {grid}"
+            )
+        if vals[0] * sign_lo > 0.0 and vals[-1] * sign_hi > 0.0:
+            break
+        bound *= 2.0
     roots = []
     for i in range(1, len(grid) - 1):
         if vals[i] == 0.0:

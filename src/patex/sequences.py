@@ -40,9 +40,6 @@ class Sequence:
     def distinct(self) -> int:
         return len(set(self.letters))
 
-    def is_normalized(self) -> bool:
-        return self.letters == normalize(self).letters
-
 
 def as_sequence(u: Sequence | Iterable[int] | str) -> Sequence:
     """Coerce letters, a string, or a Sequence into a Sequence."""

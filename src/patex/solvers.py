@@ -9,14 +9,15 @@ a node budget and raises BudgetExceededError rather than approximating.
 ss_oracle / sm_oracle minimize over all instances of a given size.  The
 sequence oracle enumerates restricted growth strings (one canonical
 representative per isomorphism class — the objective is isomorphism
-invariant); the matrix oracle enumerates all placements with no all-zero
-row or column, which is exhaustive because empty rows and columns never
-affect containment.
+invariant); the matrix oracle walks all placements with no all-zero row or
+column, which is exhaustive because empty rows and columns never affect
+containment, and prunes a partial placement as soon as the ones left cannot
+fill its empty rows and columns.  An oracle's budget caps the total nodes
+of all its instances.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -55,13 +56,6 @@ class OracleResult:
     elapsed: float
 
 
-def _lss_raw(letters, pattern_letters, budget):
-    status, value, pos, nodes = kernels.lss_search(letters, pattern_letters, budget)
-    if status:
-        raise BudgetExceededError(f"lss node budget {budget} exceeded", nodes=nodes)
-    return value, pos, nodes
-
-
 def lss_exact(u, v, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Length of the longest v-free subsequence of u, with witness positions."""
     host = as_sequence(u)
@@ -69,16 +63,10 @@ def lss_exact(u, v, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     if len(pat) == 0:
         raise PreconditionError("forbidden sequence pattern must be nonempty")
     start = time.perf_counter()
-    value, pos, nodes = _lss_raw(list(host.letters), list(pat.letters), budget)
-    return SolveResult(value, pos, nodes, time.perf_counter() - start)
-
-
-def _lsm_raw(host, pattern, budget):
-    """One lsm kernel search; host and pattern are in kernel_form."""
-    status, value, sel, nodes = kernels.lsm_search(*host, *pattern, budget)
+    status, value, pos, nodes = kernels.lss_search(list(host.letters), list(pat.letters), budget)
     if status:
-        raise BudgetExceededError(f"lsm node budget {budget} exceeded", nodes=nodes)
-    return value, sel, nodes
+        raise BudgetExceededError(f"lss node budget {budget} exceeded", nodes=nodes)
+    return SolveResult(value, pos, nodes, time.perf_counter() - start)
 
 
 def lsm_exact(a: BitMatrix, p: BitMatrix, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -89,7 +77,9 @@ def lsm_exact(a: BitMatrix, p: BitMatrix, budget: int = DEFAULT_NODE_BUDGET) -> 
     if p.one_count == 0:
         raise PreconditionError("forbidden matrix pattern must have at least one one")
     start = time.perf_counter()
-    value, sel, nodes = _lsm_raw(kernel_form(a), kernel_form(p), budget)
+    status, value, sel, nodes = kernels.lsm_search(*kernel_form(a), *kernel_form(p), budget)
+    if status:
+        raise BudgetExceededError(f"lsm node budget {budget} exceeded", nodes=nodes)
     witness = tuple(a.ones[i] for i in sel)
     return SolveResult(value, witness, nodes, time.perf_counter() - start)
 
@@ -110,24 +100,57 @@ def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
     """All normalized sequences of length m in lexicographic order.
 
     A tuple u qualifies iff u[0] == 0 and u[i] <= max(u[:i]) + 1; these are
-    exactly the canonical representatives of the isomorphism classes.
+    exactly the canonical representatives of the isomorphism classes.  Each
+    string of length m - 1 is extended, in order, by every last letter it
+    allows.
     """
     if m < 0:
         raise PreconditionError("length must be >= 0")
-    if m == 0:
-        yield ()
+    if m < 2:
+        yield (0,) * m
         return
-    buf = [0] * m
+    tails = [(x,) for x in range(m)]
+    for head in restricted_growth_strings(m - 1):
+        for tail in tails[: max(head) + 2]:
+            yield head + tail
 
-    def rec(i, mx):
-        if i == m:
-            yield tuple(buf)
+
+def _placements(m: int) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """Every matrix with exactly m ones, no all-zero row or column and at
+    most m rows and columns, in kernel form (rows, cols, row tuple, col
+    tuple), in lexicographic (rows, cols, placement) order.
+
+    A depth-first walk over the cells in increasing row-major index.  The
+    rows of the ones never decrease, so a step may not skip a row; a branch
+    is cut as soon as the ones left cannot cover the rows below the last
+    one or the columns still missing.
+    """
+    rs = [0] * m
+    cs = [0] * m
+
+    def walk(r, c, k, nxt, cmask, missing):
+        left = m - k
+        if not left:
+            yield r, c, tuple(rs), tuple(cs)
             return
-        for val in range(mx + 2):
-            buf[i] = val
-            yield from rec(i + 1, mx if val <= mx else val)
+        last_row = rs[k - 1] if k else -1
+        # this one goes at row r - left or below, or the ones left cannot
+        # reach the last row, and at most one row below the last one, or a
+        # row stays empty; once every one left must fill a missing column
+        # (missing == left), a column already filled is cut
+        for cell in range(max(nxt, (r - left) * c), min(r, last_row + 2) * c):
+            i, j = divmod(cell, c)
+            bit = 1 << j
+            fills = not cmask & bit
+            if missing == left and not fills:
+                continue
+            rs[k], cs[k] = i, j
+            yield from walk(r, c, k + 1, cell + 1, cmask | bit, missing - fills)
 
-    yield from rec(1, 0)
+    for r in range(1, m + 1):
+        for c in range(1, m + 1):
+            if r * c >= m:
+                yield from walk(r, c, 0, 0, 0, c)
 
 
 def matrices_with_ones(m: int) -> Iterator[BitMatrix]:
@@ -135,20 +158,8 @@ def matrices_with_ones(m: int) -> Iterator[BitMatrix]:
     most m rows and columns, in lexicographic (rows, cols, placement) order."""
     if m < 1:
         raise PreconditionError("need at least one one")
-    for r in range(1, m + 1):
-        full_r = (1 << r) - 1
-        for c in range(1, m + 1):
-            if r * c < m:
-                continue
-            full_c = (1 << c) - 1
-            for combo in itertools.combinations(range(r * c), m):
-                rmask = 0
-                cmask = 0
-                for cell in combo:
-                    rmask |= 1 << (cell // c)
-                    cmask |= 1 << (cell % c)
-                if rmask == full_r and cmask == full_c:
-                    yield BitMatrix(r, c, tuple((cell // c, cell % c) for cell in combo))
+    for r, c, rows, cols in _placements(m):
+        yield BitMatrix(r, c, tuple(zip(rows, cols)))
 
 
 def ss_oracle(
@@ -160,7 +171,9 @@ def ss_oracle(
     """Minimum of lss_exact(u, v) over all sequences u of length m.
 
     Enumerates one representative per isomorphism class; the argmin is the
-    lexicographically smallest canonical minimizer.
+    lexicographically smallest canonical minimizer.  budget caps the total
+    nodes of all the instances searched: each instance gets what the ones
+    before it left, and BudgetExceededError carries the total so far.
     """
     if m < 0:
         raise PreconditionError("length must be >= 0")
@@ -175,8 +188,12 @@ def ss_oracle(
     best_u = None
     total_nodes = 0
     for letters in restricted_growth_strings(m):
-        value, _, nodes = _lss_raw(list(letters), pat_letters, budget)
+        status, value, _, nodes = kernels.lss_search(letters, pat_letters, budget - total_nodes)
         total_nodes += nodes
+        if status:
+            raise BudgetExceededError(
+                f"ss_oracle total node budget {budget} exceeded", nodes=total_nodes
+            )
         if best is None or value < best:
             best = value
             best_u = letters
@@ -195,6 +212,9 @@ def sm_oracle(
 
     Containment is order-sensitive, so no row/column permutation symmetry
     is applied; the argmin is the first minimizer in enumeration order.
+    budget caps the total nodes of all the instances searched: each instance
+    gets what the ones before it left, and BudgetExceededError carries the
+    total so far.
     """
     if m < 1:
         raise PreconditionError("need at least one one")
@@ -207,15 +227,21 @@ def sm_oracle(
     best = None
     best_a = None
     total_nodes = 0
-    for a in matrices_with_ones(m):
-        value, _, nodes = _lsm_raw(kernel_form(a), pattern, budget)
+    for host in _placements(m):
+        status, value, _, nodes = kernels.lsm_search(*host, *pattern, budget - total_nodes)
         total_nodes += nodes
+        if status:
+            raise BudgetExceededError(
+                f"sm_oracle total node budget {budget} exceeded", nodes=total_nodes
+            )
         if best is None or value < best:
             best = value
-            best_a = a
+            best_a = host
             if best == 0:
                 break
-    return OracleResult(best, best_a, total_nodes, time.perf_counter() - start)
+    r, c, rows, cols = best_a
+    argmin = BitMatrix(r, c, tuple(zip(rows, cols)))
+    return OracleResult(best, argmin, total_nodes, time.perf_counter() - start)
 
 
 def lsp_upper(u, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:

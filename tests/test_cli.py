@@ -233,11 +233,18 @@ def test_exit_code_precondition(capsys, seq_file, j2_file):
 def test_exit_code_budget(capsys, seq_file):
     code, _, err = run_cli(capsys, "lss", "--seq", seq_file, "--pattern", "abab", "--budget", "2")
     assert code == 3
+    # the oracle budget caps the total over all instances
+    argv = ["ss-oracle", "--m", "6", "--pattern", "abab"]
+    total = json.loads(run_cli(capsys, *argv)[1])["nodes"]
+    code, _, err = run_cli(capsys, *argv, "--budget", str(total - 1))
+    assert code == 3 and "total node budget" in err
+    code, out, _ = run_cli(capsys, *argv, "--budget", str(total))
+    assert code == 0 and json.loads(out)["nodes"] == total
 
 
 def test_exit_code_degenerate(capsys, tmp_path):
     f = tmp_path / "dup.polys"
-    for text in ("0,1\n0,1\n", "nan,1\n", "0,1\n0,inf\n", "-inf\n"):
+    for text in ("0,1\n0,1\n", "nan,1\n", "0,1\n0,inf\n", "-inf\n", "1e-300,1e300\n0,1,1\n"):
         f.write_text(text)
         code, out, err = run_cli(capsys, "envelope", "--polys", str(f))
         assert code == 4 and out == "" and err.startswith("error: ")

@@ -140,6 +140,38 @@ def test_empty_family_rejected():
             lower_envelope([poly(1.0)], tol=tol)
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        # values on the root-isolation grid of the difference overflow to inf
+        [poly(1e-300, 1e300), poly(0.0, 1.0, 1.0)],
+        # the two lines cross at -1e600, beyond the largest float
+        [poly(1e300, 1e-300), poly(0.0)],
+    ],
+)
+def test_overflowing_family_raises(family):
+    with pytest.raises(DegenerateInputError):
+        lower_envelope(family)
+
+
+def test_root_on_rounded_cauchy_bound_is_found():
+    # x^2 - 1e20 x - 1 < 0 exactly between its roots near -1e-20 and 1e20;
+    # the Cauchy bound 1 + 1e20 rounds to 1e20, on the far root
+    env = lower_envelope([poly(-1.0, -1e20, 1.0), poly(0.0)])
+    assert env.labels == (1, 0, 1)
+    near, far = env.breakpoints
+    assert abs(near) < DEFAULT_TOL and abs(far - 1e20) <= 1e20 * 1e-12
+
+
+def test_root_in_a_huge_bracket_is_refined_to_tolerance():
+    # the root near -1e-100 is bisected out of a bracket about 1e100 wide,
+    # which takes some 360 halvings
+    env = lower_envelope([poly(-1.0, -1e100, 1.0), poly(0.0)])
+    assert env.labels == (1, 0, 1)
+    near, far = env.breakpoints
+    assert abs(near) < DEFAULT_TOL and abs(far - 1e100) <= 1e100 * 1e-12
+
+
 def test_near_tie_raises_tolerance_error():
     # two constants 1e-12 apart share the envelope bottom between the dips
     # of two side parabolas; the midpoint argmin cannot be disambiguated

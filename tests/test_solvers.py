@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from patex.constructions import all_ones, column, diagonal, row
 from patex.containment import mat_contains, seq_contains
 from patex.errors import BudgetExceededError, PreconditionError
 from patex.matrices import BitMatrix
-from patex.sequences import Sequence, parse_sequence
+from patex.sequences import Sequence, normalize, parse_sequence
 from patex.solvers import (
     ex_exact,
     lsm_exact,
@@ -156,7 +157,7 @@ def test_rgs_yields_normalized_sequences_in_lex_order():
     seen = list(restricted_growth_strings(4))
     assert seen == sorted(seen)
     for letters in seen:
-        assert Sequence(letters).is_normalized()
+        assert normalize(Sequence(letters)).letters == letters
 
 
 def test_matrices_with_ones_have_no_empty_lines():
@@ -165,21 +166,40 @@ def test_matrices_with_ones_have_no_empty_lines():
         assert a.one_count == 3
         assert {r for r, _ in a.ones} == set(range(a.rows))
         assert {c for _, c in a.ones} == set(range(a.cols))
-    expected = sum(
-        _surjective_count(r, c, 3) for r in range(1, 4) for c in range(1, 4)
-    )
-    assert len(mats) == expected
+    assert len(mats) == len(_matrices_by_filter(3))
 
 
-def _surjective_count(r, c, m):
-    from itertools import combinations
+def _growth_strings_by_filter(m):
+    """Every tuple over range(m) in lexicographic order, kept by the growth rule."""
+    return [
+        u
+        for u in itertools.product(range(m), repeat=m)
+        if all(u[i] <= max(u[:i], default=-1) + 1 for i in range(m))
+    ]
 
-    return sum(
-        1
-        for combo in combinations(range(r * c), m)
-        if {x // c for x in combo} == set(range(r))
-        and {x % c for x in combo} == set(range(c))
-    )
+
+def _matrices_by_filter(m):
+    """Every m-subset of the cells of every r x c grid, in combinations order,
+    kept when it leaves no row and no column empty."""
+    out = []
+    for r in range(1, m + 1):
+        for c in range(1, m + 1):
+            for combo in itertools.combinations(range(r * c), m):
+                rows = {x // c for x in combo}
+                cols = {x % c for x in combo}
+                if len(rows) == r and len(cols) == c:
+                    out.append(BitMatrix(r, c, tuple(divmod(x, c) for x in combo)))
+    return out
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_rgs_equals_filtered_product(m):
+    assert list(restricted_growth_strings(m)) == _growth_strings_by_filter(m)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_matrices_with_ones_equals_filtered_combinations(m):
+    assert list(matrices_with_ones(m)) == _matrices_by_filter(m)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +270,66 @@ def test_sm_oracle_monotone_in_m():
     for p in (diagonal(2), row(2), all_ones(2, 2)):
         vals = [sm_oracle(m, p).value for m in range(1, 5)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def _plain_minimum(instances, solve):
+    """(value, first minimizer, total nodes) of solve over instances, stopping
+    at the first zero like the oracles do."""
+    best = best_x = None
+    nodes = 0
+    for x in instances:
+        res = solve(x)
+        nodes += res.nodes
+        if best is None or res.value < best:
+            best, best_x = res.value, x
+            if best == 0:
+                break
+    return best, best_x, nodes
+
+
+@pytest.mark.parametrize("m,v", [(7, "abab"), (6, "aba"), (6, "abc"), (4, "a")])
+def test_ss_oracle_equals_plain_loop_over_filtered_strings(m, v):
+    pat = parse_sequence(v)
+    value, argmin, nodes = _plain_minimum(
+        _growth_strings_by_filter(m), lambda u: lss_exact(Sequence(u), pat)
+    )
+    res = ss_oracle(m, pat)
+    assert (res.value, res.argmin.letters, res.nodes) == (value, argmin, nodes)
+
+
+@pytest.mark.parametrize(
+    "m,p",
+    [
+        (5, all_ones(2, 2)),
+        (4, diagonal(2)),
+        (4, row(3)),
+        (3, BitMatrix(1, 1, ((0, 0),))),
+    ],
+)
+def test_sm_oracle_equals_plain_loop_over_filtered_matrices(m, p):
+    value, argmin, nodes = _plain_minimum(_matrices_by_filter(m), lambda a: lsm_exact(a, p))
+    res = sm_oracle(m, p)
+    assert (res.value, res.argmin, res.nodes) == (value, argmin, nodes)
+
+
+@pytest.mark.parametrize(
+    "oracle,m,pattern,solve,instances",
+    [
+        (ss_oracle, 6, parse_sequence("abab"), lss_exact, _growth_strings_by_filter),
+        (sm_oracle, 4, all_ones(2, 2), lsm_exact, _matrices_by_filter),
+    ],
+    ids=["ss", "sm"],
+)
+def test_oracle_budget_caps_the_total(oracle, m, pattern, solve, instances):
+    # a budget no instance reaches on its own still stops the oracle
+    total = oracle(m, pattern).nodes
+    largest = max(solve(x, pattern).nodes for x in instances(m))
+    assert largest < total - 1
+    for budget in (largest, total - 1):
+        with pytest.raises(BudgetExceededError) as exc:
+            oracle(m, pattern, budget=budget)
+        assert exc.value.nodes == budget + 1
+    assert oracle(m, pattern, budget=total).nodes == total
 
 
 # ---------------------------------------------------------------------------
