@@ -40,7 +40,10 @@ class Polynomial:
     coeffs: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        cs = [float(c) for c in self.coeffs]
+        try:
+            cs = [float(c) for c in self.coeffs]
+        except OverflowError as exc:
+            raise DegenerateInputError("polynomial coefficient too large for a float") from exc
         if not all(map(math.isfinite, cs)):
             raise DegenerateInputError(f"non-finite polynomial coefficient in {tuple(cs)}")
         while len(cs) > 1 and cs[-1] == 0.0:

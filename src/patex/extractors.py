@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+from patex._backend import kernels
 from patex.constructions import l_shape
-from patex.containment import mat_contains
 from patex.errors import PreconditionError
-from patex.matrices import BitMatrix
+from patex.matrices import BitMatrix, kernel_form
 from patex.sequences import Sequence, as_sequence
 
 
@@ -33,8 +33,9 @@ from patex.sequences import Sequence, as_sequence
 class ExtractReport:
     """Result of one extraction: the avoiding witness, its size, the
     guaranteed size the method promises, a method tag, the seed for
-    randomized methods, and (for sequence witnesses) the retained
-    positions in the host."""
+    randomized methods, (for sequence witnesses) the retained positions
+    in the host, and (for probabilistic_extract) the number of pattern
+    copies the repair deleted."""
 
     witness: BitMatrix | Sequence
     size: int
@@ -43,6 +44,7 @@ class ExtractReport:
     seed: int | None = None
     positions: tuple[int, ...] | None = None
     kind: str | None = None
+    repairs: int | None = None
 
 
 def isqrt_ceil(m: int) -> int:
@@ -79,22 +81,36 @@ def probabilistic_extract(a: BitMatrix, p: BitMatrix, seed: int = 0) -> ExtractR
     then repeatedly finds a copy of p and deletes its row-major-last cell
     until none remains.  The output is always p-free; the guarantee field
     is the floor of the expected-size bound.
+
+    The kept ones stay sorted row-major next to their row and column lists
+    in kernel form, so each repair is one kernel search and one deletion.
+    The row-major-last cell of a copy is the image of p's last one, since
+    the copy's row and column maps are increasing.
     """
     m = a.one_count
     if m < 1:
         raise PreconditionError("host matrix needs at least one one")
     keep_p, rexp, method = _deletion_parameters(p, m)
-    rng = random.Random(seed)
-    kept = [cell for cell in a.ones if rng.random() < keep_p]
+    coin = random.Random(seed).random
+    kept = [cell for cell in a.ones if coin() < keep_p]
+    krows = [r for r, _ in kept]
+    kcols = [c for _, c in kept]
+    _, _, prows, pcols = kernel_form(p)
+    last_r, last_c = p.ones[-1]
+    repairs = 0
     while True:
-        occ = mat_contains(BitMatrix(a.rows, a.cols, tuple(kept)), p)
+        occ = kernels.mat_find(a.rows, a.cols, krows, kcols, p.rows, p.cols, prows, pcols)
         if occ is None:
             break
-        kept.remove(max(occ.cells(p)))
+        i = bisect_left(kept, (occ[0][last_r], occ[1][last_c]))
+        del kept[i], krows[i], kcols[i]
+        repairs += 1
     expectation = m * keep_p - keep_p**p.one_count * m**rexp
     guarantee = max(0, math.floor(expectation))
     witness = BitMatrix(a.rows, a.cols, tuple(kept))
-    return ExtractReport(witness, witness.one_count, guarantee, method, seed=seed)
+    return ExtractReport(
+        witness, witness.one_count, guarantee, method, seed=seed, repairs=repairs
+    )
 
 
 def _longest_monotone(vals: list[int], decreasing: bool) -> list[int]:

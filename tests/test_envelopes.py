@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +43,13 @@ def test_polynomial_trims_trailing_zeros():
 def test_polynomial_rejects_non_finite(coeffs):
     with pytest.raises(DegenerateInputError):
         Polynomial(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(10**400, 1), (1.0, -(10**400)), (Fraction(10**400, 3),)])
+def test_polynomial_rejects_coefficient_too_large_for_a_float(coeffs):
+    with pytest.raises(DegenerateInputError, match="too large for a float") as info:
+        Polynomial(coeffs)
+    assert info.value.exit_code == 4
 
 
 def test_polynomial_eval_and_sub():

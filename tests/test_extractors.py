@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patex.constructions import all_ones, block_sequence, l_shape
+from patex.constructions import all_ones, block_sequence, l_shape, upper_construction_allones
 from patex.containment import mat_contains, seq_contains
 from patex.errors import PreconditionError
 from patex.extractors import (
+    _deletion_parameters,
     alternate_thinning,
     dichotomy_extract,
     erdos_szekeres_extract,
@@ -77,6 +78,39 @@ def test_probabilistic_rejects_unsupported_pattern():
         probabilistic_extract(all_ones(4, 4), BitMatrix.from_dense([[0, 1], [1, 1]]))
     with pytest.raises(PreconditionError):
         probabilistic_extract(all_ones(4, 4), BitMatrix(1, 1, ((0, 0),)))
+
+
+def rebuild_extract(a, p, seed):
+    """The repair loop written plainly: rebuild the kept matrix and search
+    it with mat_contains before every deletion.  Returns the witness and
+    the number of copies deleted."""
+    keep_p, _, _ = _deletion_parameters(p, a.one_count)
+    rng = random.Random(seed)
+    kept = [cell for cell in a.ones if rng.random() < keep_p]
+    repairs = 0
+    while True:
+        occ = mat_contains(BitMatrix(a.rows, a.cols, tuple(kept)), p)
+        if occ is None:
+            break
+        kept.remove(max(occ.cells(p)))
+        repairs += 1
+    return BitMatrix(a.rows, a.cols, tuple(kept)), repairs
+
+
+@pytest.mark.parametrize(
+    "host, pattern",
+    [(upper_construction_allones(4096, 2), all_ones(2, 2)), (all_ones(64, 64), l_shape())],
+    ids=["allones2", "lshape"],
+)
+def test_probabilistic_matches_rebuild_loop(host, pattern):
+    total = 0
+    for seed in range(20):
+        rep = probabilistic_extract(host, pattern, seed=seed)
+        witness, repairs = rebuild_extract(host, pattern, seed)
+        assert rep.witness == witness and rep.size == witness.one_count
+        assert rep.repairs == repairs
+        total += repairs
+    assert total >= 20  # the repair path ran
 
 
 def test_probabilistic_mean_size_tracks_expectation():
