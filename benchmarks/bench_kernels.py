@@ -63,11 +63,9 @@ def load_random_lss(m, seed):
 
 def load_lsm(n):
     a = all_ones(n, n)
-    ar = [r for r, _ in a.ones]
-    ac = [c for _, c in a.ones]
 
     def run(kern):
-        return kern.lsm_search(n, n, ar, ac, 2, 2, [0, 0, 1, 1], [0, 1, 0, 1], BUDGET)
+        return kern.lsm_search(n, n, a.cells, 2, 2, (0, 1, 2, 3), BUDGET)
 
     return f"lsm all-ones {n}x{n} vs 2x2", run
 
@@ -75,9 +73,7 @@ def load_lsm(n):
 def load_mat_find(m, seed):
     rng = random.Random(seed)
     side = 3 * int(m**0.5)
-    cells = sorted(rng.sample([(r, c) for r in range(side) for c in range(side)], m))
-    ar = [r for r, _ in cells]
-    ac = [c for _, c in cells]
+    cells = sorted(r * side + c for r, c in rng.sample([(r, c) for r in range(side) for c in range(side)], m))
 
     def run(kern):
         hits = 0
@@ -86,7 +82,9 @@ def load_mat_find(m, seed):
             ([0, 1, 2], [2, 0, 1]),
             ([0, 1, 1], [1, 0, 1]),
         ):
-            if kern.mat_find(side, side, ar, ac, max(prows) + 1, max(pcols) + 1, prows, pcols):
+            pr, pc = max(prows) + 1, max(pcols) + 1
+            pcells = [r * pc + c for r, c in zip(prows, pcols)]
+            if kern.mat_find(side, side, cells, pr, pc, pcells):
                 hits += 1
         return hits
 

@@ -6,11 +6,13 @@
    touching either.
 
    Marshal layer: every sequence argument (a list, a tuple or any other
-   iterable of ints) is copied into a C int array.  A value outside C int
-   raises OverflowError instead of wrapping.  A pattern letter below 0, or a
-   matrix row/column index outside its dimension, raises ValueError: those
-   values index the search's own arrays.  A node budget beyond long long is
-   clamped, so it acts like the unbounded Python int of the pure backend. */
+   iterable of ints) is copied into C int arrays; a matrix's row-major cell
+   indices r * cols + c are read as long long and split into a row and a
+   column array.  A value outside its C type raises OverflowError instead
+   of wrapping.  A pattern letter below 0, or a cell index outside
+   [0, rows * cols), raises ValueError: those values index the search's
+   own arrays.  A node budget beyond long long is clamped, so it acts like
+   the unbounded Python int of the pure backend. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -22,39 +24,51 @@
 
 /* ---- marshal ---- */
 
-/* Store the Python int obj in *out if it lies in [lo, hi]. */
+/* Store the Python int obj in *out if it lies in [lo, hi].  A value outside
+   [-tmax - 1, tmax], the C type it goes into, raises OverflowError. */
 static int
-as_int(PyObject *obj, long lo, long hi, const char *what, int *out)
+as_llong(PyObject *obj, long long lo, long long hi, long long tmax, const char *what, long long *out)
 {
-    long x;
     if (!PyLong_Check(obj)) {
         PyErr_Format(PyExc_TypeError, "%s must be an int, not %.100s", what, Py_TYPE(obj)->tp_name);
         return -1;
     }
-    x = PyLong_AsLong(obj);
-    if (x == -1 && PyErr_Occurred())
+    *out = PyLong_AsLongLong(obj);
+    if (*out == -1 && PyErr_Occurred())
         return -1;
-    if (x < INT_MIN || x > INT_MAX) {
-        PyErr_Format(PyExc_OverflowError, "%s %ld does not fit in a C int", what, x);
-        return -1;
-    }
-    if (x < lo || x > hi) {
-        PyErr_Format(PyExc_ValueError, "%s %ld outside [%ld, %ld]", what, x, lo, hi);
+    if (*out < -tmax - 1 || *out > tmax) {
+        PyErr_Format(PyExc_OverflowError, "%s %lld does not fit in a C int", what, *out);
         return -1;
     }
+    if (*out < lo || *out > hi) {
+        PyErr_Format(PyExc_ValueError, "%s %lld outside [%lld, %lld]", what, *out, lo, hi);
+        return -1;
+    }
+    return 0;
+}
+
+static int
+as_int(PyObject *obj, long lo, long hi, const char *what, int *out)
+{
+    long long x;
+    if (as_llong(obj, lo, hi, INT_MAX, what, &x) < 0)
+        return -1;
     *out = (int)x;
     return 0;
 }
 
 /* Copy the ints of obj, each in [lo, hi], into a new PyMem array of *len
-   entries.  Only exact ints are read, so no Python code runs while the
-   borrowed item array is in use. */
+   entries.  With col_out set they are row-major cell indices r * cols + c,
+   read as long long: the array gets each r, and a second new array, which
+   is *col_out's even on failure, each c.  Only exact ints are read, so no
+   Python code runs while the borrowed item array is in use. */
 static int *
-to_ints(PyObject *obj, long lo, long hi, const char *what, int *len)
+to_ints(PyObject *obj, long long lo, long long hi, const char *what, int *len, int cols, int **col_out)
 {
     PyObject *fast = PySequence_Fast(obj, "expected a sequence of ints");
     int *out = NULL;
     Py_ssize_t n, i;
+    long long x;
     if (fast == NULL)
         return NULL;
     n = PySequence_Fast_GET_SIZE(fast);
@@ -62,18 +76,23 @@ to_ints(PyObject *obj, long lo, long hi, const char *what, int *len)
         PyErr_SetString(PyExc_OverflowError, "sequence longer than a C int can index");
         goto done;
     }
-    if ((out = PyMem_Malloc(n * sizeof(int))) == NULL) {
+    if ((out = PyMem_Malloc(n * sizeof(int))) == NULL
+        || (col_out && (*col_out = PyMem_Malloc(n * sizeof(int))) == NULL)) {
         PyErr_NoMemory();
-        goto done;
+        goto fail;
     }
     for (i = 0; i < n; i++) {
-        if (as_int(PySequence_Fast_GET_ITEM(fast, i), lo, hi, what, &out[i]) < 0) {
-            PyMem_Free(out);
-            out = NULL;
-            goto done;
-        }
+        if (as_llong(PySequence_Fast_GET_ITEM(fast, i), lo, hi, col_out ? LLONG_MAX : INT_MAX, what, &x) < 0)
+            goto fail;
+        out[i] = (int)(col_out ? x / cols : x);
+        if (col_out)
+            (*col_out)[i] = (int)(x % cols);
     }
     *len = (int)n;
+    goto done;
+fail:
+    PyMem_Free(out);
+    out = NULL;
 done:
     Py_DECREF(fast);
     return out;
@@ -261,8 +280,8 @@ seq_find(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     int *u = NULL, *v = NULL;
     PyObject *res = NULL;
     if (check_nargs("seq_find", nargs, 2) < 0
-        || (c.u = u = to_ints(args[0], INT_MIN, INT_MAX, "host letter", &c.n)) == NULL
-        || (c.v = v = to_ints(args[1], 0, INT_MAX - 1, "pattern letter", &c.t)) == NULL)
+        || (c.u = u = to_ints(args[0], INT_MIN, INT_MAX, "host letter", &c.n, 0, NULL)) == NULL
+        || (c.v = v = to_ints(args[1], 0, INT_MAX - 1, "pattern letter", &c.t, 0, NULL)) == NULL)
         goto done;
     if (c.t == 0) {
         res = PyList_New(0);
@@ -314,8 +333,8 @@ lss_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     int n;
     PyObject *res = NULL;
     if (check_nargs("lss_search", nargs, 3) < 0
-        || (L.u = to_ints(args[0], INT_MIN, INT_MAX, "host letter", &n)) == NULL
-        || (L.v = to_ints(args[1], 0, INT_MAX - 1, "pattern letter", &L.t)) == NULL)
+        || (L.u = to_ints(args[0], INT_MIN, INT_MAX, "host letter", &n, 0, NULL)) == NULL
+        || (L.v = to_ints(args[1], 0, INT_MAX - 1, "pattern letter", &L.t, 0, NULL)) == NULL)
         goto done;
     if (L.t == 0) {
         PyErr_SetString(PyExc_ValueError, "pattern must be nonempty");
@@ -348,25 +367,19 @@ typedef struct {
     int *rowmap, *colmap;               /* P row/col -> A row/col, -1 unmapped */
 } Mat;
 
-/* Parse (ar, ac, arows, acols, pr, pc, prows, pcols) and allocate the maps. */
+/* Parse (ar, ac, acells, pr, pc, pcells) and allocate the maps. */
 static int
 mat_parse(PyObject *const *args, Mat *m)
 {
-    int nc, npc;
     if (as_int(args[0], 0, INT_MAX, "host rows", &m->ar) < 0
         || as_int(args[1], 0, INT_MAX, "host columns", &m->ac) < 0
-        || as_int(args[4], 0, INT_MAX, "pattern rows", &m->pr) < 0
-        || as_int(args[5], 0, INT_MAX, "pattern columns", &m->pc) < 0
-        || (m->arows = to_ints(args[2], 0, (long)m->ar - 1, "host row", &m->na)) == NULL
-        || (m->acols = to_ints(args[3], 0, (long)m->ac - 1, "host column", &nc)) == NULL
-        || (m->prows = to_ints(args[6], 0, (long)m->pr - 1, "pattern row", &m->np)) == NULL
-        || (m->pcols = to_ints(args[7], 0, (long)m->pc - 1, "pattern column", &npc)) == NULL)
-        return -1;
-    if (nc != m->na || npc != m->np) {
-        PyErr_SetString(PyExc_ValueError, "row and column lists differ in length");
-        return -1;
-    }
-    if ((m->rowmap = scratch(m->pr)) == NULL || (m->colmap = scratch(m->pc)) == NULL)
+        || as_int(args[3], 0, INT_MAX, "pattern rows", &m->pr) < 0
+        || as_int(args[4], 0, INT_MAX, "pattern columns", &m->pc) < 0
+        || (m->arows = to_ints(args[2], 0, (long long)m->ar * m->ac - 1, "host cell", &m->na, m->ac,
+                               &m->acols)) == NULL
+        || (m->prows = to_ints(args[5], 0, (long long)m->pr * m->pc - 1, "pattern cell", &m->np, m->pc,
+                               &m->pcols)) == NULL
+        || (m->rowmap = scratch(m->pr)) == NULL || (m->colmap = scratch(m->pc)) == NULL)
         return -1;
     memset(m->rowmap, -1, m->pr * sizeof(int));
     memset(m->colmap, -1, m->pc * sizeof(int));
@@ -471,7 +484,7 @@ mat_find(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Mat m = {0};
     int *row_ptr = NULL;
     PyObject *res = NULL, *rows, *cols;
-    if (check_nargs("mat_find", nargs, 8) < 0 || mat_parse(args, &m) < 0)
+    if (check_nargs("mat_find", nargs, 6) < 0 || mat_parse(args, &m) < 0)
         goto done;
     if (m.np > m.na || m.pr > m.ar || m.pc > m.ac) {
         res = Py_NewRef(Py_None);
@@ -579,13 +592,13 @@ lsm_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Lsm L = {{0}};
     PyObject *res = NULL;
-    if (check_nargs("lsm_search", nargs, 9) < 0 || mat_parse(args, &L.m) < 0)
+    if (check_nargs("lsm_search", nargs, 7) < 0 || mat_parse(args, &L.m) < 0)
         goto done;
     if (L.m.np == 0) {
         PyErr_SetString(PyExc_ValueError, "pattern must have at least one one");
         goto done;
     }
-    if (search_alloc(&L.s, L.m.na, args[8]) < 0 || (L.keep_r = scratch(L.m.na)) == NULL
+    if (search_alloc(&L.s, L.m.na, args[6]) < 0 || (L.keep_r = scratch(L.m.na)) == NULL
         || (L.keep_c = scratch(L.m.na)) == NULL)
         goto done;
     keep_drop(&L.s, lsm_creates);
@@ -606,9 +619,9 @@ static PyMethodDef corec_methods[] = {
     METHOD(seq_find, "seq_find(u, v)\n--\n\nSmallest occurrence of v in u as a position list, or None."),
     METHOD(lss_search, "lss_search(u, v, budget)\n--\n\n(status, value, positions, nodes) of the "
                        "longest v-free subsequence of u."),
-    METHOD(mat_find, "mat_find(ar, ac, arows, acols, pr, pc, prows, pcols)\n--\n\nFirst "
+    METHOD(mat_find, "mat_find(ar, ac, acells, pr, pc, pcells)\n--\n\nFirst "
                      "occurrence of P in A as (row tuple, column tuple), or None."),
-    METHOD(lsm_search, "lsm_search(ar, ac, arows, acols, pr, pc, prows, pcols, budget)\n--\n\n"
+    METHOD(lsm_search, "lsm_search(ar, ac, acells, pr, pc, pcells, budget)\n--\n\n"
                        "(status, value, kept indices, nodes) of the most ones of A avoiding P."),
     {NULL, NULL, 0, NULL},
 };

@@ -9,7 +9,7 @@ traversal order; for any input both backends return bit-identical results
 Conventions shared by both backends:
   * sequences are lists of non-negative ints, patterns normalized
     (letters 0..r-1 in first-occurrence order);
-  * matrix ones are given as parallel row/col lists sorted row-major;
+  * matrix ones are given as sorted row-major cell indices r * cols + c;
   * searches visit candidates in ascending order and keep-branches before
     drop-branches, so the first optimum found is the lexicographically
     smallest witness.
@@ -223,22 +223,21 @@ def _complete_map(amap, limit):
     return amap
 
 
-def mat_find(ar, ac, arows, acols, pr, pc, prows, pcols):
+def mat_find(ar, ac, acells, pr, pc, pcells):
     """First occurrence of pattern P in A, or None.
 
     Backtracks over P's ones in row-major order with row/column interval
-    pruning.  A's ones are (arows, acols) sorted row-major; P must have at
-    least one one.  Returns full strictly-increasing (row list, col list)
-    index maps, with rows/columns not forced by any one placed greedily.
+    pruning.  Returns full strictly-increasing (row list, col list) index
+    maps, with rows/columns not forced by any one placed greedily.
     """
-    na = len(arows)
-    np_ = len(prows)
+    na = len(acells)
+    np_ = len(pcells)
     if np_ > na or pr > ar or pc > ac:
         return None
     _ensure_stack(np_)
     row_ptr = [0] * (ar + 1)
-    for rr in arows:
-        row_ptr[rr + 1] += 1
+    for x in acells:
+        row_ptr[x // ac + 1] += 1
     for i in range(ar):
         row_ptr[i + 1] += row_ptr[i]
     rowmap = [-1] * pr
@@ -247,8 +246,7 @@ def mat_find(ar, ac, arows, acols, pr, pc, prows, pcols):
     def rec(k):
         if k == np_:
             return True
-        a = prows[k]
-        b = pcols[k]
+        a, b = divmod(pcells[k], pc)
         if rowmap[a] >= 0:
             rlo = rhi = rowmap[a]
         else:
@@ -264,10 +262,11 @@ def mat_find(ar, ac, arows, acols, pr, pc, prows, pcols):
                 clo, chi = _col_bounds(colmap, pc, b, ac)
             if clo > chi:
                 continue
-            idx = bisect_left(acols, clo, lo_idx, hi_idx)
+            base = i * ac
+            idx = bisect_left(acells, base + clo, lo_idx, hi_idx)
             new_row = rowmap[a] < 0
-            while idx < hi_idx and acols[idx] <= chi:
-                j = acols[idx]
+            while idx < hi_idx and acells[idx] <= base + chi:
+                j = acells[idx] - base
                 new_col = colmap[b] < 0
                 rowmap[a] = i
                 colmap[b] = j
@@ -351,14 +350,15 @@ def _mat_creates(kept_r, kept_c, kc, ar, ac, pr, pc, prows, pcols, rowmap, colma
     return rec(0, 0)
 
 
-def lsm_search(ar, ac, arows, acols, pr, pc, prows, pcols, budget):
+def lsm_search(ar, ac, acells, pr, pc, pcells, budget):
     """Most ones keepable from A without containing P, by keep/drop branch
     and bound over A's ones in row-major order.
 
-    Returns (status, value, kept indices into A's ones list, nodes).
+    Returns (status, value, kept indices into acells, nodes).
     """
-    na = len(arows)
-    _ensure_stack(na + len(prows))
+    na = len(acells)
+    _ensure_stack(na + len(pcells))
+    prows, pcols = [x // pc for x in pcells], [x % pc for x in pcells]
     kept_r = [0] * na
     kept_c = [0] * na
     sel = [0] * na
@@ -384,8 +384,7 @@ def lsm_search(ar, ac, arows, acols, pr, pc, prows, pcols, budget):
             return
         if k + (na - i) <= best:
             return
-        kept_r[k] = arows[i]
-        kept_c[k] = acols[i]
+        kept_r[k], kept_c[k] = divmod(acells[i], ac)
         if not _mat_creates(kept_r, kept_c, k + 1, ar, ac, pr, pc, prows, pcols, rowmap, colmap):
             sel[k] = i
             rec(i + 1, k + 1)

@@ -5,15 +5,28 @@ of a sequence pattern."""
 
 from __future__ import annotations
 
+import math
+
 from patex.errors import PreconditionError
 from patex.matrices import BitMatrix
 from patex.sequences import Sequence, normalize
+
+MAX_CELLS = 2**22
+"""Most entries (matrix cells, rows x cols, or sequence letters) a builder
+makes; it checks its size before it builds anything and raises
+PreconditionError above this.  The largest benchmark host has 2**18 cells."""
+
+
+def _check_size(entries: int, what: str) -> None:
+    if entries > MAX_CELLS:
+        raise PreconditionError(f"{what} would have {entries} entries, more than {MAX_CELLS}")
 
 
 def block_sequence(k: int) -> Sequence:
     """k repetitions of the block a_1 ... a_k (length k^2, k letters)."""
     if k < 1:
         raise PreconditionError("block parameter k must be >= 1")
+    _check_size(k * k, "block_sequence")
     return Sequence(tuple(range(k)) * k)
 
 
@@ -21,45 +34,49 @@ def all_ones(r: int, c: int) -> BitMatrix:
     """r x c matrix with every entry one."""
     if r < 1 or c < 1:
         raise PreconditionError("all_ones needs r, c >= 1")
-    return BitMatrix(r, c, tuple((i, j) for i in range(r) for j in range(c)))
+    _check_size(r * c, "all_ones")
+    return BitMatrix(r, c, tuple(range(r * c)))
 
 
 def diagonal(k: int) -> BitMatrix:
     """k x k matrix with k ones on the main diagonal."""
     if k < 1:
         raise PreconditionError("diagonal needs k >= 1")
-    return BitMatrix(k, k, tuple((i, i) for i in range(k)))
+    _check_size(k * k, "diagonal")
+    return BitMatrix(k, k, tuple(range(0, k * k, k + 1)))
 
 
 def row(k: int) -> BitMatrix:
     """1 x k all-ones matrix."""
     if k < 1:
         raise PreconditionError("row needs k >= 1")
-    return BitMatrix(1, k, tuple((0, j) for j in range(k)))
+    return all_ones(1, k)
 
 
 def column(k: int) -> BitMatrix:
     """k x 1 all-ones matrix."""
     if k < 1:
         raise PreconditionError("column needs k >= 1")
-    return BitMatrix(k, 1, tuple((i, 0) for i in range(k)))
+    return all_ones(k, 1)
 
 
 def l_shape() -> BitMatrix:
     """The 2 x 2 pattern with ones everywhere except the top-right corner."""
-    return BitMatrix(2, 2, ((0, 0), (1, 0), (1, 1)))
+    return BitMatrix(2, 2, (0, 2, 3))
 
 
 def _floor_root(x: int, k: int) -> int:
     """Largest integer t with t**k <= x."""
     if x < 0 or k < 1:
         raise PreconditionError("floor root needs x >= 0, k >= 1")
-    t = int(round(x ** (1.0 / k)))
+    # the estimate goes through log, not x ** (1 / k): x may exceed a float
+    t = int(round(math.exp(math.log(x) / k))) if x else 0
     while t > 0 and t**k > x:
         t -= 1
     while (t + 1) ** k <= x:
         t += 1
     return t
+
 
 def upper_construction_allones(m: int, r: int) -> BitMatrix:
     """All-ones matrix with floor(m^(r/(r+1))) rows and floor(m^(1/(r+1)))
@@ -73,6 +90,8 @@ def upper_construction_allones(m: int, r: int) -> BitMatrix:
         raise PreconditionError("upper_construction_allones needs m >= 1")
     if r < 2:
         raise PreconditionError("upper_construction_allones needs r >= 2")
+    # at most m cells; capping r like an r x r pattern's side keeps m**r small
+    _check_size(max(m, r * r), "upper_construction_allones")
     cols = _floor_root(m, r + 1)
     rows = _floor_root(m**r, r + 1)
     return all_ones(rows, cols)
@@ -86,9 +105,9 @@ def insert_column(p: BitMatrix, r: int, c: int) -> BitMatrix:
         raise PreconditionError(
             f"insert_column needs adjacent ones at ({r},{c}) and ({r},{c + 1})"
         )
-    cells = [(i, j if j <= c else j + 1) for i, j in p.ones]
+    cells = [(i, j if j <= c else j + 1) for i, j in ones]
     cells.append((r, c + 1))
-    return BitMatrix(p.rows, p.cols + 1, tuple(cells))
+    return BitMatrix.from_ones(p.rows, p.cols + 1, cells)
 
 
 def corner_join(p: BitMatrix, copies: int) -> BitMatrix:
@@ -105,13 +124,14 @@ def corner_join(p: BitMatrix, copies: int) -> BitMatrix:
         return p
     rows = copies * p.rows - (copies - 1)
     cols = copies * p.cols - (copies - 1)
+    _check_size(max(rows * cols, copies), "corner_join")  # one pass per copy
     cells = set()
     for t in range(copies):
         roff = (copies - 1 - t) * (p.rows - 1)
         coff = t * (p.cols - 1)
-        for i, j in p.ones:
+        for i, j in ones:
             cells.add((roff + i, coff + j))
-    return BitMatrix(rows, cols, tuple(sorted(cells)))
+    return BitMatrix.from_ones(rows, cols, cells)
 
 
 def pattern_from_sequence(v) -> BitMatrix:
@@ -121,7 +141,7 @@ def pattern_from_sequence(v) -> BitMatrix:
     seq = normalize(v)
     if len(seq) == 0:
         raise PreconditionError("pattern_from_sequence needs a nonempty sequence")
-    return BitMatrix(seq.distinct, len(seq), tuple((x, j) for j, x in enumerate(seq.letters)))
+    return BitMatrix.from_ones(seq.distinct, len(seq), ((x, j) for j, x in enumerate(seq.letters)))
 
 
 def four_forcing_patterns() -> list[BitMatrix]:

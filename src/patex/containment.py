@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from patex._backend import kernels
-from patex.matrices import BitMatrix, kernel_form
+from patex.matrices import BitMatrix
 from patex.sequences import Sequence, as_sequence, normalize
 
 
@@ -62,7 +62,7 @@ def mat_contains(a: BitMatrix, p: BitMatrix) -> MatOccurrence | None:
     """Occurrence of pattern p in a, or None when a avoids p."""
     if p.one_count == 0:
         return MatOccurrence((), ())
-    res = kernels.mat_find(*kernel_form(a), *kernel_form(p))
+    res = kernels.mat_find(a.rows, a.cols, a.cells, p.rows, p.cols, p.cells)
     if res is None:
         return None
     return MatOccurrence(res[0], res[1])
@@ -80,11 +80,12 @@ def count_pattern_copies(a: BitMatrix, p: BitMatrix) -> int:
         from math import comb
 
         return comb(a.rows, p.rows) * comb(a.cols, p.cols)
-    ones = set(a.ones)
+    ones = set(a.cells)
+    pones = p.ones
     count = 0
     for rows in combinations(range(a.rows), p.rows):
         for cols in combinations(range(a.cols), p.cols):
-            if all((rows[i], cols[j]) in ones for i, j in p.ones):
+            if all(rows[i] * a.cols + cols[j] in ones for i, j in pones):
                 count += 1
     return count
 
@@ -112,5 +113,5 @@ def check_mat_occurrence(a: BitMatrix, p: BitMatrix, occ: MatOccurrence) -> bool
         return False
     if cols and not (0 <= cols[0] and cols[-1] < a.cols):
         return False
-    ones = set(a.ones)
-    return all((rows[i], cols[j]) in ones for i, j in p.ones)
+    ones = set(a.cells)
+    return all(rows[i] * a.cols + cols[j] in ones for i, j in p.ones)

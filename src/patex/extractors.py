@@ -21,11 +21,12 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 
 from patex._backend import kernels
 from patex.constructions import l_shape
 from patex.errors import PreconditionError
-from patex.matrices import BitMatrix, kernel_form
+from patex.matrices import BitMatrix
 from patex.sequences import Sequence, as_sequence
 
 
@@ -63,11 +64,10 @@ def _deletion_parameters(p: BitMatrix, m: int):
     at most m^r copies weighted p^(r^2); the L-shape keeps with m^(-1/2)/2
     and at most m^2 copies weighted p^3.
     """
-    dense = p.dense()
     if p.rows == p.cols and p.rows >= 2 and p.one_count == p.rows * p.cols:
         r = p.rows
         return 0.5 * m ** (-1.0 / (r + 1)), r, f"prob-allones-{r}x{r}"
-    if dense == l_shape().dense():
+    if p == l_shape():
         return 0.5 * m**-0.5, 2, "prob-lshape"
     raise PreconditionError(
         "probabilistic_extract supports square all-ones patterns (r >= 2) and the L-shape"
@@ -82,28 +82,24 @@ def probabilistic_extract(a: BitMatrix, p: BitMatrix, seed: int = 0) -> ExtractR
     until none remains.  The output is always p-free; the guarantee field
     is the floor of the expected-size bound.
 
-    The kept ones stay sorted row-major next to their row and column lists
-    in kernel form, so each repair is one kernel search and one deletion.
-    The row-major-last cell of a copy is the image of p's last one, since
-    the copy's row and column maps are increasing.
+    The kept cells stay one sorted list the kernel takes as it is, so each
+    repair is one kernel search and one deletion.  The row-major-last cell
+    of a copy is the image of p's last one, since the copy's row and column
+    maps are increasing.
     """
     m = a.one_count
     if m < 1:
         raise PreconditionError("host matrix needs at least one one")
     keep_p, rexp, method = _deletion_parameters(p, m)
     coin = random.Random(seed).random
-    kept = [cell for cell in a.ones if coin() < keep_p]
-    krows = [r for r, _ in kept]
-    kcols = [c for _, c in kept]
-    _, _, prows, pcols = kernel_form(p)
-    last_r, last_c = p.ones[-1]
+    kept = [x for x in a.cells if coin() < keep_p]
+    last_r, last_c = divmod(p.cells[-1], p.cols)
     repairs = 0
     while True:
-        occ = kernels.mat_find(a.rows, a.cols, krows, kcols, p.rows, p.cols, prows, pcols)
+        occ = kernels.mat_find(a.rows, a.cols, kept, p.rows, p.cols, p.cells)
         if occ is None:
             break
-        i = bisect_left(kept, (occ[0][last_r], occ[1][last_c]))
-        del kept[i], krows[i], kcols[i]
+        del kept[bisect_left(kept, occ[0][last_r] * a.cols + occ[1][last_c])]
         repairs += 1
     expectation = m * keep_p - keep_p**p.one_count * m**rexp
     guarantee = max(0, math.floor(expectation))
@@ -149,11 +145,11 @@ def erdos_szekeres_extract(a: BitMatrix) -> ExtractReport:
     m = a.one_count
     if m < 1:
         raise PreconditionError("host matrix needs at least one one")
-    vals = [c for _, c in a.ones]
+    vals = [x % a.cols for x in a.cells]
     inc = _longest_monotone(vals, decreasing=False)
     dec = _longest_monotone(vals, decreasing=True)
     pick = inc if len(inc) >= len(dec) else dec
-    witness = BitMatrix(a.rows, a.cols, tuple(a.ones[i] for i in pick))
+    witness = BitMatrix(a.rows, a.cols, tuple(a.cells[i] for i in pick))
     return ExtractReport(witness, witness.one_count, isqrt_ceil(m), "erdos-szekeres")
 
 
@@ -206,14 +202,8 @@ def dichotomy_extract(u) -> ExtractReport:
 def alternate_thinning(a: BitMatrix) -> BitMatrix:
     """Keep the 1st, 3rd, 5th, ... one of each row (left-to-right order),
     clearing the rest; at least half of every row survives."""
-    kept = []
-    by_row: dict[int, list[int]] = {}
-    for r, c in a.ones:
-        by_row.setdefault(r, []).append(c)
-    for r, cols in by_row.items():
-        for idx in range(0, len(cols), 2):
-            kept.append((r, cols[idx]))
-    return BitMatrix(a.rows, a.cols, tuple(sorted(kept)))
+    rows = groupby(a.cells, lambda x: x // a.cols)
+    return BitMatrix(a.rows, a.cols, tuple(x for _, run in rows for x in tuple(run)[::2]))
 
 
 def sequence_to_matrix(positions, k: int) -> BitMatrix:
@@ -230,5 +220,4 @@ def sequence_to_matrix(positions, k: int) -> BitMatrix:
         raise PreconditionError("positions must be strictly increasing")
     if pos and not (0 <= pos[0] and pos[-1] < k * k):
         raise PreconditionError(f"positions must lie in [0, {k * k})")
-    cells = tuple(sorted((p % k, p // k) for p in pos))
-    return BitMatrix(k, k, cells)
+    return BitMatrix(k, k, tuple(sorted(p % k * k + p // k for p in pos)))

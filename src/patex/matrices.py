@@ -1,4 +1,6 @@
-"""0-1 matrices stored as dimensions plus a sorted coordinate list of ones.
+"""0-1 matrices stored as dimensions plus the sorted row-major indices of
+their ones (r * cols + c for the one in row r, column c), the form the
+search kernels take as it is.
 
 Row and column order is semantic: containment preserves both orders, so no
 permutation symmetry is ever applied anywhere in the package.
@@ -7,68 +9,62 @@ permutation symmetry is ever applied anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, lt
+from itertools import compress
+from operator import lt
 from typing import Iterable
 
 from patex.errors import PreconditionError
 
-Cell = tuple[int, int]
-
-_TUPLE, _PAIR, _INT = {tuple}, {2}, {int}
-_row, _col = itemgetter(0), itemgetter(1)
-
-
-def _is_canonical(cells, rows: int, cols: int) -> bool:
-    """True when cells is already in stored form: a tuple of (int, int)
-    tuples, strictly increasing in row-major order (so free of duplicates)
-    and inside rows x cols.  Every pass over the cells runs in C."""
-    if type(cells) is not tuple or set(map(type, cells)) != _TUPLE:
-        return False
-    if set(map(len, cells)) != _PAIR:
-        return False
-    cs = list(map(_col, cells))
-    if set(map(type, map(_row, cells))) != _INT or set(map(type, cs)) != _INT:
-        return False
-    return (
-        all(map(lt, cells, cells[1:]))
-        and 0 <= cells[0][0]
-        and cells[-1][0] < rows
-        and 0 <= min(cs)
-        and max(cs) < cols
-    )
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """rows x cols matrix with ones at the given (row, col) coordinates.
+    """rows x cols matrix with ones at the given cell indices.
 
-    ones is stored as a tuple of (int, int) pairs sorted row-major.  A
-    tuple already in that form is kept as it is; anything else is
-    converted, sorted and checked.
+    cells must already be in stored form: a tuple of ints, strictly
+    increasing, each in [0, rows * cols).  It is checked, never converted;
+    build from (row, col) pairs with from_ones.
     """
 
     rows: int
     cols: int
-    ones: tuple[Cell, ...] = ()
+    cells: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise PreconditionError("matrix dimensions must be >= 0")
-        if _is_canonical(self.ones, self.rows, self.cols):
-            return
-        cells = tuple(sorted((int(r), int(c)) for r, c in self.ones))
-        for r, c in cells:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise PreconditionError(
-                    f"coordinate ({r},{c}) outside {self.rows}x{self.cols}"
-                )
-        if len(set(cells)) != len(cells):
+        cells, size = self.cells, self.rows * self.cols
+        # every pass runs in C; type(True) is bool, so bools fail too
+        if type(cells) is not tuple or cells and not (
+            set(map(type, cells)) == {int}
+            and all(map(lt, cells, cells[1:]))
+            and 0 <= cells[0]
+            and cells[-1] < size
+        ):
+            raise PreconditionError(f"cells must be a strictly increasing tuple of ints in [0, {size})")
+
+    @classmethod
+    def from_ones(cls, rows: int, cols: int, ones: Iterable[tuple[int, int]]) -> "BitMatrix":
+        """The matrix with ones at the given (row, col) pairs, in any order."""
+        if rows < 0 or cols < 0:
+            raise PreconditionError("matrix dimensions must be >= 0")
+        pairs = sorted((int(r), int(c)) for r, c in ones)
+        for r, c in pairs:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise PreconditionError(f"coordinate ({r},{c}) outside {rows}x{cols}")
+        if len(set(pairs)) != len(pairs):
             raise PreconditionError("duplicate coordinates in ones list")
-        object.__setattr__(self, "ones", cells)
+        return cls(rows, cols, tuple(r * cols + c for r, c in pairs))
+
+    @property
+    def ones(self) -> tuple[tuple[int, int], ...]:
+        """The (row, col) pairs of the ones, row-major; built in O(ones) per access."""
+        return tuple(divmod(x, self.cols) for x in self.cells)
 
     @property
     def one_count(self) -> int:
-        return len(self.ones)
+        return len(self.cells)
 
     @classmethod
     def from_dense(cls, grid: Iterable[Iterable[int]]) -> "BitMatrix":
@@ -82,20 +78,11 @@ class BitMatrix:
                 if val not in (0, 1):
                     raise PreconditionError("dense entries must be 0 or 1")
                 if val:
-                    cells.append((r, c))
+                    cells.append(r * ncols + c)
         return cls(len(rows), ncols, tuple(cells))
 
     def dense(self) -> list[list[int]]:
-        grid = [[0] * self.cols for _ in range(self.rows)]
-        for r, c in self.ones:
-            grid[r][c] = 1
-        return grid
-
-
-def kernel_form(a: BitMatrix) -> tuple[int, int, list[int], list[int]]:
-    """a as the search kernels take a matrix: rows, cols, then the row and
-    the column list of its ones in row-major order."""
-    return a.rows, a.cols, [r for r, _ in a.ones], [c for _, c in a.ones]
+        return [[int(ch) for ch in ln] for ln in format_matrix(self).split("\n")] if self.rows else []
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -109,20 +96,20 @@ def parse_matrix(text: str) -> BitMatrix:
     if not lines:
         return BitMatrix(0, 0)
     width = len(lines[0])
-    cells = []
     for r, ln in enumerate(lines):
         if len(ln) != width:
             raise PreconditionError(f"line {r + 1} has length {len(ln)}, expected {width}")
         bad = ln.strip("01")
         if bad:
             raise PreconditionError(f"invalid character {bad[0]!r} in matrix")
-        cells += [(r, c) for c, ch in enumerate(ln) if ch == "1"]
-    return BitMatrix(len(lines), width, tuple(cells))
+    bits = "".join(lines).encode("ascii").translate(_BITS)
+    return BitMatrix(len(lines), width, tuple(compress(range(len(bits)), bits)))
 
 
 def format_matrix(a: BitMatrix) -> str:
     """Serialize to the canonical line-per-row format."""
-    grid = [["0"] * a.cols for _ in range(a.rows)]
-    for r, c in a.ones:
-        grid[r][c] = "1"
-    return "\n".join(map("".join, grid))
+    flat = bytearray(b"0" * (a.rows * a.cols))
+    for x in a.cells:
+        flat[x] = 49  # ord("1")
+    text = flat.decode("ascii")
+    return "\n".join([text[r * a.cols : (r + 1) * a.cols] for r in range(a.rows)])

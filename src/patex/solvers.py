@@ -25,7 +25,7 @@ from typing import Iterator
 from patex._backend import kernels
 from patex.constructions import all_ones
 from patex.errors import BudgetExceededError, PreconditionError
-from patex.matrices import BitMatrix, kernel_form
+from patex.matrices import BitMatrix
 from patex.sequences import Sequence, alternation, as_sequence, normalize
 
 DEFAULT_NODE_BUDGET = 500_000_000
@@ -77,10 +77,12 @@ def lsm_exact(a: BitMatrix, p: BitMatrix, budget: int = DEFAULT_NODE_BUDGET) -> 
     if p.one_count == 0:
         raise PreconditionError("forbidden matrix pattern must have at least one one")
     start = time.perf_counter()
-    status, value, sel, nodes = kernels.lsm_search(*kernel_form(a), *kernel_form(p), budget)
+    status, value, sel, nodes = kernels.lsm_search(
+        a.rows, a.cols, a.cells, p.rows, p.cols, p.cells, budget
+    )
     if status:
         raise BudgetExceededError(f"lsm node budget {budget} exceeded", nodes=nodes)
-    witness = tuple(a.ones[i] for i in sel)
+    witness = tuple(divmod(a.cells[i], a.cols) for i in sel)
     return SolveResult(value, witness, nodes, time.perf_counter() - start)
 
 
@@ -115,51 +117,40 @@ def restricted_growth_strings(m: int) -> Iterator[tuple[int, ...]]:
             yield head + tail
 
 
-def _placements(m: int) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+def _placements(m: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Every matrix with exactly m ones, no all-zero row or column and at
-    most m rows and columns, in kernel form (rows, cols, row tuple, col
-    tuple), in lexicographic (rows, cols, placement) order.
+    most m rows and columns, as (rows, cols, cells), in lexicographic
+    (rows, cols, placement) order.
 
     A depth-first walk over the cells in increasing row-major index.  The
     rows of the ones never decrease, so a step may not skip a row; a branch
     is cut as soon as the ones left cannot cover the rows below the last
     one or the columns still missing.
     """
-    rs = [0] * m
-    cs = [0] * m
+    cells = [0] * m
 
-    def walk(r, c, k, nxt, cmask, missing):
+    def walk(r, c, k, last_row, nxt_col, cmask, missing):
         left = m - k
         if not left:
-            yield r, c, tuple(rs), tuple(cs)
+            yield r, c, tuple(cells)
             return
-        last_row = rs[k - 1] if k else -1
-        # this one goes at row r - left or below, or the ones left cannot
-        # reach the last row, and at most one row below the last one, or a
-        # row stays empty; once every one left must fill a missing column
-        # (missing == left), a column already filled is cut
-        for cell in range(max(nxt, (r - left) * c), min(r, last_row + 2) * c):
-            i, j = divmod(cell, c)
-            bit = 1 << j
-            fills = not cmask & bit
-            if missing == left and not fills:
-                continue
-            rs[k], cs[k] = i, j
-            yield from walk(r, c, k + 1, cell + 1, cmask | bit, missing - fills)
+        # this one goes at (last_row, nxt_col) or later; at row r - left or
+        # below, or the ones left cannot reach the last row, and at most one
+        # row below the last one, or a row stays empty; once every one left
+        # must fill a missing column (missing == left), a filled one is cut
+        for i in range(max(last_row, r - left), min(r, last_row + 2)):
+            for j in range(nxt_col if i == last_row else 0, c):
+                bit = 1 << j
+                fills = not cmask & bit
+                if missing == left and not fills:
+                    continue
+                cells[k] = i * c + j
+                yield from walk(r, c, k + 1, i, j + 1, cmask | bit, missing - fills)
 
     for r in range(1, m + 1):
         for c in range(1, m + 1):
             if r * c >= m:
-                yield from walk(r, c, 0, 0, 0, c)
-
-
-def matrices_with_ones(m: int) -> Iterator[BitMatrix]:
-    """All matrices with exactly m ones, no all-zero row or column, and at
-    most m rows and columns, in lexicographic (rows, cols, placement) order."""
-    if m < 1:
-        raise PreconditionError("need at least one one")
-    for r, c, rows, cols in _placements(m):
-        yield BitMatrix(r, c, tuple(zip(rows, cols)))
+                yield from walk(r, c, 0, -1, c, 0, c)
 
 
 def ss_oracle(
@@ -222,7 +213,7 @@ def sm_oracle(
         raise BudgetExceededError(f"sm_oracle limit {limit} exceeded (m={m})")
     if p.one_count == 0:
         raise PreconditionError("forbidden matrix pattern must have at least one one")
-    pattern = kernel_form(p)
+    pattern = p.rows, p.cols, p.cells
     start = time.perf_counter()
     best = None
     best_a = None
@@ -239,9 +230,7 @@ def sm_oracle(
             best_a = host
             if best == 0:
                 break
-    r, c, rows, cols = best_a
-    argmin = BitMatrix(r, c, tuple(zip(rows, cols)))
-    return OracleResult(best, argmin, total_nodes, time.perf_counter() - start)
+    return OracleResult(best, BitMatrix(*best_a), total_nodes, time.perf_counter() - start)
 
 
 def lsp_upper(u, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:

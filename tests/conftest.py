@@ -60,7 +60,7 @@ def brute_lsm(a: BitMatrix, p: BitMatrix) -> int:
     for mask in range(1 << len(cells)):
         kept = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
         if len(kept) > best and not brute_mat_contains(
-            BitMatrix(a.rows, a.cols, kept), p
+            BitMatrix.from_ones(a.rows, a.cols, kept), p
         ):
             best = len(kept)
     return best

@@ -145,7 +145,7 @@ def test_criterion_05_erdos_szekeres_extractor():
             rng = random.Random(1000 * m + s)
             side = 2 * isqrt_ceil(m)
             cells = rng.sample([(r, c) for r in range(side) for c in range(side)], m)
-            host = BitMatrix(side, side, tuple(cells))
+            host = BitMatrix.from_ones(side, side, cells)
             rep = erdos_szekeres_extract(host)
             if rep.size < isqrt_ceil(m):
                 failures.append(("size", m, s, rep.size))
@@ -169,7 +169,7 @@ def test_criterion_06_ex_sm_bridge():
     best = 0
     for mask in range(1 << 9):
         cells = tuple((i // 3, i % 3) for i in range(9) if mask >> i & 1)
-        if len(cells) > best and not brute_mat_contains(BitMatrix(3, 3, cells), j2):
+        if len(cells) > best and not brute_mat_contains(BitMatrix.from_ones(3, 3, cells), j2):
             best = len(cells)
     if best != 6 or ex_exact(3, j2).value != 6:
         failures.append(("enumeration", best, ex_exact(3, j2).value))

@@ -1,8 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from patex.cli import main
 from patex.constructions import (
+    MAX_CELLS,
     all_ones,
     block_sequence,
     column,
@@ -188,3 +192,52 @@ def test_four_patterns():
     assert pats[1].dense() == [[0, 0, 1], [1, 1, 0]]
     assert pats[2].dense() == [[0, 1], [1, 1]]
     assert pats[3].dense() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# size guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "all-ones", "--r", "100000", "--c", "100000"],
+        ["construct", "block", "--k", "1000000"],
+        ["construct", "diagonal", "--k", "1000000"],
+        ["construct", "row", "--k", str(10**12)],
+        ["construct", "column", "--k", str(10**12)],
+        ["construct", "lemma3", "--m", str(10**12), "--r", "2"],
+        ["construct", "lemma3", "--m", "100", "--r", "100000"],
+        ["construct", "corner-join", "--pattern", "J2", "--copies", "1000000"],
+        ["construct", "corner-join", "--pattern", "ONE", "--copies", str(10**12)],
+        ["ex", "--n", "100000", "--pattern", "J2"],
+        ["sweep", "sm-allones", "--r", "2", "--m-list", f"64,{10**12}", "--trials", "1"],
+        ["sweep", "sm-allones", "--r", "100000", "--m-list", "64", "--trials", "1"],
+    ],
+)
+def test_oversized_requests_exit_2_before_building(capsys, tmp_path, argv):
+    files = {"J2": tmp_path / "j2.mat", "ONE": tmp_path / "one.mat"}
+    files["J2"].write_text("11\n11\n")
+    files["ONE"].write_text("1\n")
+    start = time.perf_counter()
+    code = main([str(files[tok]) if tok in files else tok for tok in argv])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_size_guard_allows_exactly_max_cells():
+    from patex.constructions import _check_size
+
+    _check_size(MAX_CELLS, "x")
+    with pytest.raises(PreconditionError):
+        _check_size(MAX_CELLS + 1, "x")
+
+
+def test_upper_construction_with_large_r():
+    # m**r is far past a float here; the roots stay exact integers
+    m, r = 100, 400
+    a = upper_construction_allones(m, r)
+    assert a.rows**(r + 1) <= m**r < (a.rows + 1) ** (r + 1)
+    assert a.cols**(r + 1) <= m < (a.cols + 1) ** (r + 1)
+    assert (a.rows, a.cols, a.one_count) == (98, 1, 98)

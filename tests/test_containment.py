@@ -89,8 +89,8 @@ def test_empty_matrix_pattern_contained_everywhere():
 @given(cells_in(4, 4), cells_in(3, 3).filter(lambda s: s))
 @settings(max_examples=300)
 def test_mat_contains_matches_enumeration(acells, pcells):
-    a = BitMatrix(4, 4, tuple(acells))
-    p = BitMatrix(3, 3, tuple(pcells))
+    a = BitMatrix.from_ones(4, 4, acells)
+    p = BitMatrix.from_ones(3, 3, pcells)
     got = mat_contains(a, p)
     assert (got is not None) == brute_mat_contains(a, p)
     if got is not None:
@@ -112,17 +112,17 @@ def _full_support(cells):
 def test_mat_contains_invariant_under_zero_padding(acells, pcells):
     rows = 1 + max(r for r, _ in pcells)
     cols = 1 + max(c for _, c in pcells)
-    a = BitMatrix(3, 4, tuple(acells))
-    p = BitMatrix(rows, cols, tuple(pcells))
+    a = BitMatrix.from_ones(3, 4, acells)
+    p = BitMatrix.from_ones(rows, cols, pcells)
     # same ones inside a larger all-zero frame (one zero row/col before and after)
-    padded = BitMatrix(5, 6, tuple((r + 1, c + 1) for r, c in acells))
+    padded = BitMatrix.from_ones(5, 6, ((r + 1, c + 1) for r, c in acells))
     assert (mat_contains(a, p) is None) == (mat_contains(padded, p) is None)
 
 
 def test_mat_contains_pattern_with_zero_row_needs_room():
-    p = BitMatrix(2, 1, ((0, 0),))  # one over an all-zero row
-    host_tall = BitMatrix(2, 1, ((0, 0),))
-    host_flat = BitMatrix(1, 1, ((0, 0),))
+    p = BitMatrix(2, 1, (0,))  # one over an all-zero row
+    host_tall = BitMatrix(2, 1, (0,))
+    host_flat = BitMatrix(1, 1, (0,))
     assert mat_contains(host_tall, p) is not None
     assert mat_contains(host_flat, p) is None
 
@@ -145,5 +145,5 @@ def test_count_bounded_by_diagonal_choices():
     for trial in range(25):
         m = rng.randint(1, 12)
         cells = rng.sample([(r, c) for r in range(6) for c in range(6)], m)
-        a = BitMatrix(6, 6, tuple(cells))
+        a = BitMatrix.from_ones(6, 6, cells)
         assert count_pattern_copies(a, j2) < m**2

@@ -24,7 +24,7 @@ def random_matrix(m, seed, side=None):
     rng = random.Random(seed)
     side = side or 2 * isqrt_ceil(m)
     cells = rng.sample([(r, c) for r in range(side) for c in range(side)], m)
-    return BitMatrix(side, side, tuple(cells))
+    return BitMatrix.from_ones(side, side, cells)
 
 
 def test_isqrt_ceil():
@@ -61,7 +61,7 @@ def test_probabilistic_lshape_variant():
 
 
 def test_probabilistic_single_one_host():
-    a = BitMatrix(1, 1, ((0, 0),))
+    a = BitMatrix(1, 1, (0,))
     rep = probabilistic_extract(a, all_ones(2, 2), seed=1)
     assert rep.size in (0, 1)
     assert mat_contains(rep.witness, all_ones(2, 2)) is None
@@ -77,7 +77,7 @@ def test_probabilistic_rejects_unsupported_pattern():
     with pytest.raises(PreconditionError):
         probabilistic_extract(all_ones(4, 4), BitMatrix.from_dense([[0, 1], [1, 1]]))
     with pytest.raises(PreconditionError):
-        probabilistic_extract(all_ones(4, 4), BitMatrix(1, 1, ((0, 0),)))
+        probabilistic_extract(all_ones(4, 4), BitMatrix(1, 1, (0,)))
 
 
 def rebuild_extract(a, p, seed):
@@ -89,12 +89,12 @@ def rebuild_extract(a, p, seed):
     kept = [cell for cell in a.ones if rng.random() < keep_p]
     repairs = 0
     while True:
-        occ = mat_contains(BitMatrix(a.rows, a.cols, tuple(kept)), p)
+        occ = mat_contains(BitMatrix.from_ones(a.rows, a.cols, kept), p)
         if occ is None:
             break
         kept.remove(max(occ.cells(p)))
         repairs += 1
-    return BitMatrix(a.rows, a.cols, tuple(kept)), repairs
+    return BitMatrix.from_ones(a.rows, a.cols, kept), repairs
 
 
 @pytest.mark.parametrize(
@@ -128,7 +128,7 @@ def test_probabilistic_mean_size_tracks_expectation():
 # ---------------------------------------------------------------------------
 
 def test_es_identity_keeps_everything():
-    a = BitMatrix(4, 4, tuple((i, i) for i in range(4)))
+    a = BitMatrix.from_ones(4, 4, ((i, i) for i in range(4)))
     rep = erdos_szekeres_extract(a)
     assert rep.size == 4
     assert rep.witness == a
@@ -153,7 +153,7 @@ def test_es_random_hosts_avoid_all_four_patterns(m, four_patterns):
 def test_es_prefers_nondecreasing_on_ties():
     # a strictly decreasing diagonal: both directions tie only on length-1
     # scans of single rows; anti-diagonal gives non-increasing of length 3
-    a = BitMatrix(3, 3, ((0, 2), (1, 1), (2, 0)))
+    a = BitMatrix.from_ones(3, 3, ((0, 2), (1, 1), (2, 0)))
     rep = erdos_szekeres_extract(a)
     assert rep.size == 3
     assert rep.witness == a
@@ -197,9 +197,9 @@ def test_dichotomy_guarantee_and_freeness(letters):
 # ---------------------------------------------------------------------------
 
 def test_thinning_examples():
-    a = BitMatrix(1, 4, ((0, 0), (0, 1), (0, 2), (0, 3)))
+    a = BitMatrix.from_ones(1, 4, ((0, 0), (0, 1), (0, 2), (0, 3)))
     assert alternate_thinning(a).ones == ((0, 0), (0, 2))
-    single = BitMatrix(2, 2, ((1, 1),))
+    single = BitMatrix.from_ones(2, 2, ((1, 1),))
     assert alternate_thinning(single) == single
     empty = BitMatrix(0, 0)
     assert alternate_thinning(empty) == empty
@@ -209,7 +209,7 @@ def test_thinning_examples():
     st.sets(st.tuples(st.integers(0, 5), st.integers(0, 7)), max_size=30)
 )
 def test_thinning_halves_at_worst_and_breaks_adjacency(cells):
-    a = BitMatrix(6, 8, tuple(cells))
+    a = BitMatrix.from_ones(6, 8, cells)
     out = alternate_thinning(a)
     assert set(out.ones) <= set(a.ones)
     assert 2 * out.one_count >= a.one_count

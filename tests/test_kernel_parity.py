@@ -31,23 +31,10 @@ def random_sequence_case(rng):
 
 def random_matrix_case(rng):
     ar, ac = rng.randint(1, 6), rng.randint(1, 6)
-    cells = sorted(
-        rng.sample([(r, c) for r in range(ar) for c in range(ac)], rng.randint(0, min(10, ar * ac)))
-    )
+    cells = sorted(rng.sample(range(ar * ac), rng.randint(0, min(10, ar * ac))))
     pr, pc = rng.randint(1, 3), rng.randint(1, 3)
-    pcells = sorted(
-        rng.sample([(r, c) for r in range(pr) for c in range(pc)], rng.randint(1, min(4, pr * pc)))
-    )
-    return (
-        ar,
-        ac,
-        [r for r, _ in cells],
-        [c for _, c in cells],
-        pr,
-        pc,
-        [r for r, _ in pcells],
-        [c for _, c in pcells],
-    )
+    pcells = sorted(rng.sample(range(pr * pc), rng.randint(1, min(4, pr * pc))))
+    return ar, ac, cells, pr, pc, pcells
 
 
 def test_backend_names_differ():
@@ -88,7 +75,7 @@ def test_mat_find_parity():
         case = random_matrix_case(rng)
         assert _corepy.mat_find(*case) == _corec.mat_find(*case)
     # a 0 x 0 pattern occurs with empty index maps
-    case = (1, 1, [0], [0], 0, 0, [], [])
+    case = (1, 1, [0], 0, 0, [])
     assert _corepy.mat_find(*case) == _corec.mat_find(*case) == ((), ())
 
 
@@ -100,12 +87,12 @@ def test_lsm_parity_including_nodes():
     # a 1 x 1200 row in a 1 x 1200 host: the creates-check of the last keep
     # level nests 1,199 levels deeper
     n = 1200
-    case = (1, n, [0] * n, list(range(n)), 1, n, [0] * n, list(range(n)))
+    case = (1, n, list(range(n)), 1, n, list(range(n)))
     assert _corepy.lsm_search(*case, BUDGET) == _corec.lsm_search(*case, BUDGET)
 
 
 def test_lsm_parity_under_budget_stop():
-    case = (3, 3, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2], 2, 2, [0, 0, 1, 1], [0, 1, 0, 1])
+    case = (3, 3, list(range(9)), 2, 2, [0, 1, 2, 3])
     for budget in (-(2**70), -1, 0, 1, 7, 50):
         assert _corepy.lsm_search(*case, budget) == _corec.lsm_search(*case, budget)
 
@@ -127,8 +114,8 @@ def test_empty_host():
         assert kern.seq_find([], []) == []
         assert kern.seq_find([], [0]) is None
         assert kern.lss_search([], [0, 1], BUDGET) == (0, 0, (), 1)
-        assert kern.mat_find(3, 3, [], [], 1, 1, [0], [0]) is None
-        assert kern.lsm_search(3, 3, [], [], 2, 2, [0, 0, 1, 1], [0, 1, 0, 1], BUDGET) == (0, 0, (), 1)
+        assert kern.mat_find(3, 3, [], 1, 1, [0]) is None
+        assert kern.lsm_search(3, 3, [], 2, 2, [0, 1, 2, 3], BUDGET) == (0, 0, (), 1)
 
 
 def test_letters_and_indices_near_int_max():
@@ -140,12 +127,16 @@ def test_letters_and_indices_near_int_max():
     # column count is near INT_MAX there.
     rows = [0, 0, 0, 1, 1]
     cols = [0, INT_MAX - 2, INT_MAX - 1, 5, INT_MAX - 1]
-    for prows, pcols in (([0, 1], [0, 1]), ([0, 1], [1, 0]), ([0, 0, 1], [0, 1, 1])):
-        case = (2, INT_MAX, rows, cols, 2, 2, prows, pcols)
+    cells = [r * INT_MAX + c for r, c in zip(rows, cols)]
+    for pcells in ([0, 3], [1, 2], [0, 1, 3]):
+        case = (2, INT_MAX, cells, 2, 2, pcells)
         assert _corepy.mat_find(*case) == _corec.mat_find(*case)
+    # cell indices up to INT_MAX * INT_MAX - 1, past every C int
     rows = [0, 0, INT_MAX - 2, INT_MAX - 1, INT_MAX - 1]
     cols = [3, INT_MAX - 1, 0, 7, INT_MAX - 1]
-    case = (INT_MAX, INT_MAX, rows, cols, 2, 2, [0, 1], [0, 1])
+    cells = [r * INT_MAX + c for r, c in zip(rows, cols)]
+    assert cells[-1] == INT_MAX * INT_MAX - 1
+    case = (INT_MAX, INT_MAX, cells, 2, 2, [0, 3])
     assert _corepy.lsm_search(*case, BUDGET) == _corec.lsm_search(*case, BUDGET)
 
 
@@ -156,9 +147,18 @@ def test_values_outside_c_int_raise_overflow(bad):
     with pytest.raises(OverflowError):
         _corec.lss_search([bad], [0], BUDGET)
     with pytest.raises(OverflowError):
-        _corec.mat_find(2, 2, [0], [bad], 1, 1, [0], [0])
+        _corec.mat_find(2, bad, [0], 1, 1, [0])
     with pytest.raises(OverflowError):
-        _corec.lsm_search(bad, 2, [0], [0], 1, 1, [0], [0], BUDGET)
+        _corec.lsm_search(bad, 2, [0], 1, 1, [0], BUDGET)
+
+
+def test_cells_outside_long_long_raise_overflow():
+    # cell indices are read as C long long, so only these overflow
+    for bad in (2**63, -(2**63) - 1, 2**64):
+        with pytest.raises(OverflowError):
+            _corec.mat_find(2, 2, [0, bad], 1, 1, [0])
+        with pytest.raises(OverflowError):
+            _corec.lsm_search(2, 2, [0], 1, 1, [bad], BUDGET)
 
 
 def test_indices_outside_their_arrays_raise_value_error():
@@ -168,21 +168,22 @@ def test_indices_outside_their_arrays_raise_value_error():
         _corec.lss_search([0], [-1], BUDGET)
     with pytest.raises(ValueError):
         _corec.lss_search([0], [], BUDGET)
+    for bad in (-1, 4, INT_MAX + 1, 2**63 - 1):
+        with pytest.raises(ValueError):
+            _corec.mat_find(2, 2, [0, bad], 1, 1, [0])
     with pytest.raises(ValueError):
-        _corec.mat_find(2, 2, [2], [0], 1, 1, [0], [0])
+        _corec.mat_find(0, 2, [0], 1, 1, [0])
     with pytest.raises(ValueError):
-        _corec.mat_find(2, 2, [0, 1], [0], 1, 1, [0], [0])
+        _corec.lsm_search(2, 2, [0], 1, 1, [1], BUDGET)
     with pytest.raises(ValueError):
-        _corec.lsm_search(2, 2, [0], [0], 1, 1, [1], [0], BUDGET)
-    with pytest.raises(ValueError):
-        _corec.lsm_search(2, 2, [0], [0], 1, 1, [], [], BUDGET)
+        _corec.lsm_search(2, 2, [0], 1, 1, [], BUDGET)
 
 
 @pytest.mark.parametrize("budget", [2**31 - 1, 2**31, 2**32 + 7, 2**63 - 1, 2**63, 2**64, 10**30])
 def test_huge_budgets_act_unlimited(budget):
     u = [i % 3 for i in range(12)]
     assert _corepy.lss_search(u, [0, 1, 0, 1], budget) == _corec.lss_search(u, [0, 1, 0, 1], budget)
-    case = (3, 3, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2], 2, 2, [0, 0, 1, 1], [0, 1, 0, 1])
+    case = (3, 3, list(range(9)), 2, 2, [0, 1, 2, 3])
     assert _corepy.lsm_search(*case, budget) == _corec.lsm_search(*case, budget)
 
 
@@ -197,7 +198,7 @@ def test_host_deeper_than_the_c_stack():
     # Every one of a 1 x n host is kept, one keep branch per search level:
     # a compiled search that recursed on the C stack would overflow it.
     n = 300_000
-    case = (1, n, [0] * n, list(range(n)), 2, 1, [0, 1], [0, 0])
+    case = (1, n, list(range(n)), 2, 1, [0, 1])
     res = _corec.lsm_search(*case, BUDGET)
     assert res[:2] == (0, n) and res[3] == 2 * n + 1
     assert res == _corepy.lsm_search(*case, BUDGET)

@@ -17,18 +17,43 @@ def test_from_dense_and_back():
 
 
 def test_ones_sorted_row_major():
-    a = BitMatrix(2, 3, ((1, 2), (0, 1), (1, 0)))
+    a = BitMatrix.from_ones(2, 3, ((1, 2), (0, 1), (1, 0)))
     assert a.ones == ((0, 1), (1, 0), (1, 2))
+    assert a.cells == (1, 3, 5)
 
 
 def test_out_of_range_coordinate_rejected():
     with pytest.raises(PreconditionError):
-        BitMatrix(2, 2, ((2, 0),))
+        BitMatrix.from_ones(2, 2, ((2, 0),))
 
 
 def test_duplicate_coordinate_rejected():
     with pytest.raises(PreconditionError):
-        BitMatrix(2, 2, ((0, 0), (0, 0)))
+        BitMatrix.from_ones(2, 2, ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        (0, True),  # a bool
+        (0, 2, 1),  # unsorted
+        (0, 1, 1),  # duplicate
+        (-1, 0),  # below 0
+        (0, 6),  # rows * cols
+        (5, 9),  # past rows * cols
+        [0, 1],  # a list
+        (0, 1.0),  # a float
+        ((0, 1),),  # a pair
+    ],
+)
+def test_bitmatrix_rejects_cells_not_in_stored_form(cells):
+    with pytest.raises(PreconditionError):
+        BitMatrix(2, 3, cells)
+
+
+def test_bitmatrix_keeps_stored_cells_as_they_are():
+    for rows, cols, cells in ((2, 3, (0, 2, 5)), (2, 3, ()), (0, 0, ()), (1, 1, (0,))):
+        assert BitMatrix(rows, cols, cells).cells is cells
 
 
 def test_parse_matrix():
@@ -45,12 +70,12 @@ def test_parse_matrix_rejects_ragged_and_bad_chars():
 
 
 def test_format_parse_roundtrip():
-    a = BitMatrix(3, 2, ((0, 1), (2, 0)))
+    a = BitMatrix.from_ones(3, 2, ((0, 1), (2, 0)))
     assert parse_matrix(format_matrix(a)) == a
 
 
 def reference_ones(rows, cols, ones):
-    """The stored ones for BitMatrix(rows, cols, ones), or the message of
+    """The ones of BitMatrix.from_ones(rows, cols, ones), or the message of
     the error it raises: convert to int pairs, sort, then check range and
     duplicates in that order."""
     if rows < 0 or cols < 0:
@@ -72,8 +97,8 @@ FLAWS = ("none", "bool", "swap", "duplicate", "row below", "row above", "col bel
 def ones_lists(draw):
     """Ones for a small matrix, as a list or a tuple: either cells drawn
     anywhere around it (bools, duplicates, out of range), sorted or not,
-    or the stored form with at most one flaw put where the stored form's
-    own checks have to catch it."""
+    or sorted, valid pairs with at most one flaw put at the edge of the
+    order or the range, where a check has to catch it."""
     rows, cols = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
     if draw(st.booleans()):
         cells = draw(st.lists(st.tuples(coordinate, coordinate), max_size=10))
@@ -114,16 +139,17 @@ def test_bitmatrix_matches_reference_normaliser(case):
     want = reference_ones(rows, cols, ones)
     if isinstance(want, str):
         with pytest.raises(PreconditionError) as info:
-            BitMatrix(rows, cols, ones)
+            BitMatrix.from_ones(rows, cols, ones)
         assert str(info.value) == want
         return
-    a = BitMatrix(rows, cols, ones)
+    a = BitMatrix.from_ones(rows, cols, ones)
     assert a.ones == want
     assert type(a.ones) is tuple
     assert all(type(cell) is tuple and len(cell) == 2 for cell in a.ones)
     assert all(type(x) is int for cell in a.ones for x in cell)
-    if ones == want and all(type(x) is int for cell in ones for x in cell):
-        assert a.ones is ones  # the stored form is kept as it is
+    assert a.cells == tuple(r * cols + c for r, c in want)
+    assert all(type(x) is int for x in a.cells)
+    assert BitMatrix(rows, cols, a.cells).cells is a.cells  # the stored form is kept as it is
 
 
 @pytest.mark.parametrize(
@@ -144,17 +170,18 @@ def test_bitmatrix_flawed_tuples_take_the_checked_path(ones):
     want = reference_ones(3, 3, ones)
     if isinstance(want, str):
         with pytest.raises(PreconditionError, match=re.escape(want)):
-            BitMatrix(3, 3, ones)
+            BitMatrix.from_ones(3, 3, ones)
     else:
-        a = BitMatrix(3, 3, ones)
+        a = BitMatrix.from_ones(3, 3, ones)
         assert a.ones == want and a.ones is not ones
         assert all(type(cell) is tuple and type(cell[0]) is int is type(cell[1]) for cell in a.ones)
+        assert a.cells == tuple(r * 3 + c for r, c in want)
 
 
 def test_bitmatrix_rejects_cells_that_are_not_pairs():
     for ones in (((0, 1, 0),), ((0, 0), (1,))):
         with pytest.raises(ValueError):
-            BitMatrix(2, 2, ones)
+            BitMatrix.from_ones(2, 2, ones)
 
 
 @pytest.mark.parametrize(

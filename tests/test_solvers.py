@@ -15,8 +15,8 @@ from patex.solvers import (
     ex_exact,
     lsm_exact,
     lsp_upper,
+    _placements,
     lss_exact,
-    matrices_with_ones,
     restricted_growth_strings,
     sm_oracle,
     ss_oracle,
@@ -93,7 +93,7 @@ def test_lss_witness_lexicographically_smallest():
 def test_lsm_examples():
     j2 = all_ones(2, 2)
     assert lsm_exact(j2, j2).value == 3
-    assert lsm_exact(j2, BitMatrix(1, 1, ((0, 0),))).value == 0
+    assert lsm_exact(j2, BitMatrix(1, 1, (0,))).value == 0
     assert lsm_exact(all_ones(3, 3), j2).value == 6
 
 
@@ -111,11 +111,11 @@ def cells_in(rows, cols):
 @given(cells_in(4, 4), cells_in(2, 3).filter(lambda s: s))
 @settings(max_examples=120, deadline=None)
 def test_lsm_matches_enumeration_and_witness_avoids(acells, pcells):
-    a = BitMatrix(4, 4, tuple(acells))
-    p = BitMatrix(2, 3, tuple(pcells))
+    a = BitMatrix.from_ones(4, 4, acells)
+    p = BitMatrix.from_ones(2, 3, pcells)
     res = lsm_exact(a, p)
     assert res.value == brute_lsm(a, p)
-    kept = BitMatrix(a.rows, a.cols, res.witness)
+    kept = BitMatrix.from_ones(a.rows, a.cols, res.witness)
     assert kept.one_count == res.value
     assert mat_contains(kept, p) is None
 
@@ -125,7 +125,7 @@ def test_lsm_matches_enumeration_and_witness_avoids(acells, pcells):
     [
         (2, all_ones(2, 2), 3),
         (3, all_ones(2, 2), 6),
-        (4, BitMatrix(1, 1, ((0, 0),)), 0),
+        (4, BitMatrix(1, 1, (0,)), 0),
     ],
 )
 def test_ex_examples(n, p, value):
@@ -161,11 +161,11 @@ def test_rgs_yields_normalized_sequences_in_lex_order():
 
 
 def test_matrices_with_ones_have_no_empty_lines():
-    mats = list(matrices_with_ones(3))
-    for a in mats:
-        assert a.one_count == 3
-        assert {r for r, _ in a.ones} == set(range(a.rows))
-        assert {c for _, c in a.ones} == set(range(a.cols))
+    mats = list(_placements(3))
+    for r, c, cells in mats:
+        assert len(cells) == 3
+        assert {x // c for x in cells} == set(range(r))
+        assert {x % c for x in cells} == set(range(c))
     assert len(mats) == len(_matrices_by_filter(3))
 
 
@@ -188,7 +188,7 @@ def _matrices_by_filter(m):
                 rows = {x // c for x in combo}
                 cols = {x % c for x in combo}
                 if len(rows) == r and len(cols) == c:
-                    out.append(BitMatrix(r, c, tuple(divmod(x, c) for x in combo)))
+                    out.append(BitMatrix(r, c, combo))
     return out
 
 
@@ -199,7 +199,7 @@ def test_rgs_equals_filtered_product(m):
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_matrices_with_ones_equals_filtered_combinations(m):
-    assert list(matrices_with_ones(m)) == _matrices_by_filter(m)
+    assert [BitMatrix(*host) for host in _placements(m)] == _matrices_by_filter(m)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def test_ss_oracle_sqrt_lower_bound_when_pattern_has_aa_and_ab():
 @pytest.mark.parametrize(
     "m,p,value",
     [
-        (4, BitMatrix(1, 1, ((0, 0),)), 0),
+        (4, BitMatrix(1, 1, (0,)), 0),
         (4, row(3), 2),
         (3, diagonal(2), 1),
         (4, column(3), 2),
@@ -303,7 +303,7 @@ def test_ss_oracle_equals_plain_loop_over_filtered_strings(m, v):
         (5, all_ones(2, 2)),
         (4, diagonal(2)),
         (4, row(3)),
-        (3, BitMatrix(1, 1, ((0, 0),))),
+        (3, BitMatrix(1, 1, (0,))),
     ],
 )
 def test_sm_oracle_equals_plain_loop_over_filtered_matrices(m, p):
